@@ -1,7 +1,6 @@
 """Interface cost model C(I, Q) and its components."""
 
 from repro.cost.expressiveness import (
-    COVERAGE_ENUMERATION_LIMIT,
     MISSING_QUERY_PENALTY,
     coverage_ratio,
     expressiveness_cost,
@@ -19,7 +18,6 @@ from repro.cost.widget_costs import (
 )
 
 __all__ = [
-    "COVERAGE_ENUMERATION_LIMIT",
     "MISSING_QUERY_PENALTY",
     "coverage_ratio",
     "expressiveness_cost",

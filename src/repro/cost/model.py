@@ -136,10 +136,9 @@ class CostModel:
         self.weights = weights or CostWeights()
         self.check_expressiveness = check_expressiveness
         self.nominal_cardinalities = nominal_cardinalities or {}
-        # Per-tree candidate sets (up to BINDING_SPACE_CAP canonical-SQL
-        # strings each), so the bound matters: a long search must not hold
-        # every structure it ever costed.
-        self._coverage_cache = LruDict(1024)
+        # One boolean per (tree structure, member query) pair.  Bounded all
+        # the same: a long search must not hold every structure it ever costed.
+        self._coverage_cache = LruDict(4096)
         self._filter_attribute_cache = LruDict(2048)
 
     # ------------------------------------------------------------------ #

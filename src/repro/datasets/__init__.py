@@ -6,6 +6,7 @@ from repro.datasets.covid import (
     covid_region_variant_queries,
     generate_covid_cases,
     generate_state_regions,
+    synthetic_covid_log,
 )
 from repro.datasets.loader import (
     demo_scenarios,
@@ -33,6 +34,7 @@ __all__ = [
     "covid_region_variant_queries",
     "generate_covid_cases",
     "generate_state_regions",
+    "synthetic_covid_log",
     "SdssConfig",
     "generate_photo_obj",
     "sdss_query_log",

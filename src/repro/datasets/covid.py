@@ -164,3 +164,39 @@ def covid_region_variant_queries() -> list[str]:
     south = covid_query_log()[4]
     northeast = south.replace("'South'", "'Northeast'")
     return [south, northeast]
+
+
+def synthetic_covid_log(size: int) -> list[str]:
+    """A log of ``size`` (at most 20) structurally-related analysis queries.
+
+    Mimics how an analyst widens one investigation: the same aggregate shape
+    re-filtered over sliding date windows, per-state drill-downs over varying
+    thresholds, and a couple of dissimilar probes that must stay separate
+    trees.  Sliding windows merge into range choices, thresholds into sliders
+    — a realistic forest for the search to compress.
+    """
+    queries: list[str] = [
+        "SELECT date, sum(cases) AS total_cases FROM covid_cases GROUP BY date ORDER BY date",
+    ]
+    windows = [
+        ("2021-11-01", "2021-11-14"),
+        ("2021-11-15", "2021-11-28"),
+        ("2021-12-01", "2021-12-14"),
+        ("2021-12-15", "2021-12-28"),
+        ("2021-12-08", "2021-12-21"),
+        ("2021-11-08", "2021-11-21"),
+    ]
+    for low, high in windows:
+        queries.append(
+            "SELECT date, sum(cases) AS total_cases FROM covid_cases "
+            f"WHERE date BETWEEN '{low}' AND '{high}' GROUP BY date ORDER BY date"
+        )
+    for threshold in (100, 250, 500, 1000, 2000, 4000):
+        queries.append(
+            "SELECT date, state, sum(cases) AS cases FROM covid_cases "
+            f"WHERE cases > {threshold} GROUP BY date, state ORDER BY date"
+        )
+    for state in ("'NY'", "'CA'", "'TX'", "'FL'", "'WA'", "'GA'"):
+        queries.append(f"SELECT date, cases FROM covid_cases WHERE state = {state} ORDER BY date")
+    queries.append("SELECT state, region FROM state_regions ORDER BY state")
+    return queries[:size]

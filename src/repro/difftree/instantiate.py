@@ -78,17 +78,28 @@ def binding_space_size(tree: SqlNode) -> int:
     return size
 
 
-def enumerate_bindings(tree: SqlNode, limit: int | None = None) -> Iterator[dict[str, Any]]:
-    """Enumerate bindings (optionally capped at ``limit`` combinations)."""
+def enumerate_bindings(
+    tree: SqlNode,
+    limit: int | None = None,
+    domains: Mapping[str, Sequence[Any]] | None = None,
+) -> Iterator[dict[str, Any]]:
+    """Enumerate bindings (optionally capped at ``limit`` combinations).
+
+    ``domains`` narrows the values enumerated for some choice nodes (choice
+    id → values, in enumeration order); every other choice node ranges over
+    its full domain.
+    """
     choices = collect_choice_nodes(tree)
-    domains: list[list[Any]] = []
+    values: list[Sequence[Any]] = []
     for node in choices:
-        if isinstance(node, AnyNode):
-            domains.append(list(range(node.cardinality)))
+        if domains is not None and node.choice_id in domains:
+            values.append(domains[node.choice_id])
+        elif isinstance(node, AnyNode):
+            values.append(range(node.cardinality))
         else:
-            domains.append([True, False])
+            values.append((True, False))
     count = 0
-    for combination in itertools.product(*domains):
+    for combination in itertools.product(*values):
         if limit is not None and count >= limit:
             return
         count += 1

@@ -1,4 +1,4 @@
-"""Per-tree signatures: cached, interned identities of Difftree structures.
+"""Per-tree signatures: cached identities of Difftree structures.
 
 The search layer evaluates thousands of candidate forests, but each action
 (a ``merge(i, j)`` or a single-tree transformation) touches one or two trees —
@@ -15,11 +15,12 @@ turn that sharing into cache hits:
   with equal signatures are interchangeable for every per-tree computation
   the search performs: profiling, visualization mapping, widget mapping,
   coverage checks and data profiling all key their caches on it.
-* signatures are **interned**: structurally equal signatures resolve to one
-  canonical object, so equal trees reached along different action sequences
-  (e.g. the same merge replayed in two MCTS rollouts, which allocates fresh
-  choice nodes each time... but identical structure when ids survive) share
-  cache entries and dict keys stay small.
+* signatures compare **by value**: equal trees reached along different
+  action sequences (e.g. the same merge replayed in two MCTS rollouts) get
+  equal signatures and so share cache entries, whichever tuple object each
+  rollout happened to build.  Nothing process-global holds them: a
+  signature lives exactly as long as the node memo and the cache entries
+  that reference it.
 
 Both signatures are memoized via ``object.__setattr__`` on the (frozen,
 immutable) AST nodes — a node's structure never changes after construction,
@@ -38,24 +39,6 @@ from repro.sql.ast_nodes import SqlNode
 _FINGERPRINT_ATTR = "_repro_fingerprint"
 _SIGNATURE_ATTR = "_repro_signature"
 _STRUCTURAL_ATTR = "_repro_structural"
-
-#: Intern table mapping structural signatures to their canonical instance.
-#: Bounded: interning is a pure space/speed optimization — evicting entries
-#: can never change behaviour because signatures compare by value.
-_INTERN_TABLE: dict[tuple, tuple] = {}
-_INTERN_CAPACITY = 8192
-
-
-def intern_signature(signature: tuple) -> tuple:
-    """Return the canonical instance of a structural signature."""
-    if len(_INTERN_TABLE) >= _INTERN_CAPACITY:
-        _INTERN_TABLE.clear()
-    return _INTERN_TABLE.setdefault(signature, signature)
-
-
-def intern_table_size() -> int:
-    """Number of distinct signatures currently interned (diagnostics)."""
-    return len(_INTERN_TABLE)
 
 
 def _compute_fingerprint(node: SqlNode) -> str:
@@ -88,27 +71,8 @@ def tree_fingerprint(node: SqlNode) -> str:
     return fingerprint
 
 
-def _compute_signature(node: SqlNode) -> tuple:
-    # node.label() covers the class name and every scalar field — including
-    # choice ids and OPT defaults, which widget bindings depend on — so the
-    # recursive (label, children) shape identifies the tree precisely.
-    return (node.label(), tuple(_signature_uncached(child) for child in node.children()))
-
-
-def _signature_uncached(node: SqlNode) -> tuple:
-    cached = getattr(node, _SIGNATURE_ATTR, None)
-    if cached is not None:
-        return cached
-    signature = _compute_signature(node)
-    try:
-        object.__setattr__(node, _SIGNATURE_ATTR, signature)
-    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
-        pass
-    return signature
-
-
 def tree_signature(node: SqlNode) -> tuple:
-    """Precise structural signature of a Difftree, memoized and interned.
+    """Precise structural signature of a Difftree, memoized on the node.
 
     Equal signatures imply equal node labels — hence equal choice ids, OPT
     defaults, literals and column names — at every position of the tree.
@@ -117,7 +81,18 @@ def tree_signature(node: SqlNode) -> tuple:
     use :func:`structural_signature`, which shares entries across replayed
     merges that allocate fresh choice ids.
     """
-    return intern_signature(_signature_uncached(node))
+    cached = getattr(node, _SIGNATURE_ATTR, None)
+    if cached is not None:
+        return cached
+    # node.label() covers the class name and every scalar field — including
+    # choice ids and OPT defaults, which widget bindings depend on — so the
+    # recursive (label, children) shape identifies the tree precisely.
+    signature = (node.label(), tuple(tree_signature(child) for child in node.children()))
+    try:
+        object.__setattr__(node, _SIGNATURE_ATTR, signature)
+    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
+        pass
+    return signature
 
 
 def _structural_label(node: SqlNode) -> tuple:
@@ -130,23 +105,8 @@ def _structural_label(node: SqlNode) -> tuple:
     return (name, tuple(pair for pair in scalars if pair[0] != "choice_id"))
 
 
-def _structural_uncached(node: SqlNode) -> tuple:
-    cached = getattr(node, _STRUCTURAL_ATTR, None)
-    if cached is not None:
-        return cached
-    signature = (
-        _structural_label(node),
-        tuple(_structural_uncached(child) for child in node.children()),
-    )
-    try:
-        object.__setattr__(node, _STRUCTURAL_ATTR, signature)
-    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
-        pass
-    return signature
-
-
 def structural_signature(node: SqlNode) -> tuple:
-    """Choice-id-*insensitive* signature of a Difftree, memoized and interned.
+    """Choice-id-*insensitive* signature of a Difftree, memoized on the node.
 
     Identical to :func:`tree_signature` except that choice ids are erased
     (OPT defaults and everything else are kept).  The search replays the same
@@ -157,7 +117,18 @@ def structural_signature(node: SqlNode) -> tuple:
     *positionally* (pre-order) between equal-signature trees, which is what
     profile reuse relies on to remap ids.
     """
-    return intern_signature(_structural_uncached(node))
+    cached = getattr(node, _STRUCTURAL_ATTR, None)
+    if cached is not None:
+        return cached
+    signature = (
+        _structural_label(node),
+        tuple(structural_signature(child) for child in node.children()),
+    )
+    try:
+        object.__setattr__(node, _STRUCTURAL_ATTR, signature)
+    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
+        pass
+    return signature
 
 
 def forest_signature(forest) -> tuple:

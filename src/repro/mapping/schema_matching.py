@@ -27,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.difftree.builder import DifftreeForest
-from repro.difftree.signatures import (
-    LruDict,
-    intern_signature,
-    structural_signature,
-    tree_signature,
-)
+from repro.difftree.signatures import LruDict, structural_signature, tree_signature
 from repro.difftree.tree_schema import (
     TreeProfileCache,
     forest_schema,
@@ -87,14 +82,12 @@ class MappingCaches:
 
 def _chart_context(visualizations) -> tuple:
     """Hashable shape of every chart an interaction-mapping pass can observe."""
-    return intern_signature(
-        tuple(
-            (
-                vis.chart_type.value,
-                tuple(encoding.describe() for encoding in vis.encodings),
-            )
-            for vis in visualizations
+    return tuple(
+        (
+            vis.chart_type.value,
+            tuple(encoding.describe() for encoding in vis.encodings),
         )
+        for vis in visualizations
     )
 
 

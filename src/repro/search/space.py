@@ -18,7 +18,7 @@ Evaluation is **incremental**: every action touches one or two trees (its
 :attr:`Action.touched` delta) while the rest of the forest is structure-shared
 with the parent state, so all per-tree work — profiling, chart templates,
 widget mapping pieces, coverage checks, and default-query data profiling — is
-cached by interned per-tree signature (:mod:`repro.difftree.signatures`) and
+cached by per-tree signature (:mod:`repro.difftree.signatures`) and
 reused for unchanged trees.  Only the genuinely tree-coupled steps (layout,
 the duplicate-chart penalty, id renumbering) run globally per candidate, which
 makes one evaluation O(changed trees) instead of O(forest).
@@ -166,7 +166,7 @@ class SearchSpace:
         self.initial_state = build_forest(queries, strategy=initial_strategy)
         self._cache: dict[tuple, Evaluation] = {}
         #: Per-tree mapping caches (profiles, chart templates, widget pieces),
-        #: keyed by interned tree signature — see MappingCaches.
+        #: keyed by tree signature — see MappingCaches.
         self.mapping_caches = MappingCaches()
         #: Per-tree default-instantiation row counts, keyed by
         #: (tree signature, catalog data version) so catalog mutations

@@ -29,7 +29,12 @@ class SqlNode:
     * :meth:`child_slots` yields ``(slot_name, value)`` pairs where ``value``
       is either a :class:`SqlNode`, a list of nodes, or a plain value
       (identifier string, literal, keyword).
-    * :meth:`children` yields only node-valued children in order.
+    * :meth:`children` returns only node-valued children in order, as a tuple
+      memoized on the node: nodes are frozen and no code mutates a node's
+      list fields in place, so the memo can never go stale.  Like the other
+      node memos it is not a dataclass field, so equality and hashing ignore
+      it, and ``with_children`` / ``dataclasses.replace`` build fresh nodes
+      without it.
     * :meth:`with_children` rebuilds the node with a replacement child list in
       the same order that :meth:`children` produced them.
     * :meth:`label` is the structural label used when two nodes are compared
@@ -45,14 +50,20 @@ class SqlNode:
         for name in names:
             yield name, getattr(self, name)
 
-    def children(self) -> list["SqlNode"]:
+    def children(self) -> tuple["SqlNode", ...]:
+        try:
+            return self._repro_children  # type: ignore[attr-defined]
+        except AttributeError:
+            pass
         result: list[SqlNode] = []
         for _, value in self.child_slots():
             if isinstance(value, SqlNode):
                 result.append(value)
             elif isinstance(value, (list, tuple)):
                 result.extend(v for v in value if isinstance(v, SqlNode))
-        return result
+        children = tuple(result)
+        object.__setattr__(self, "_repro_children", children)
+        return children
 
     def scalar_slots(self) -> dict[str, Any]:
         """Return the non-node attributes that participate in the node label."""
@@ -96,10 +107,12 @@ class SqlNode:
         return replace(self, **updates)  # type: ignore[type-var]
 
     def walk(self) -> Iterator["SqlNode"]:
-        """Pre-order traversal of this subtree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Pre-order traversal of this subtree (explicit stack, no recursion)."""
+        stack: list[SqlNode] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def find_all(self, node_type: type) -> list["SqlNode"]:
         """Return every descendant (including self) of the given type."""

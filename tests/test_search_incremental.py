@@ -2,7 +2,7 @@
 
 The search layer evaluates candidates incrementally: per-tree pieces
 (profiles, chart templates, widget-mapping pieces, coverage checks, data
-profiles) are cached by interned tree signature and reused across the forest
+profiles) are cached by tree signature and reused across the forest
 states a search visits.  The contract — mirroring the optimizer on-vs-off
 pattern of ``docs/TESTING.md`` — is that an incremental evaluation is
 *indistinguishable* from a from-scratch one:
