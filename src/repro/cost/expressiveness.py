@@ -29,7 +29,7 @@ from repro.difftree.builder import DifftreeForest
 from repro.difftree.canonical import canonical_form, canonical_sql
 from repro.difftree.instantiate import binding_space_size
 from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes
-from repro.difftree.signatures import structural_signature
+from repro.difftree.signatures import choice_sharing, structural_signature
 from repro.sql.ast_nodes import ColumnRef, OrderItem, Select, SqlNode, TableRef
 
 #: Cost added per input query the interface cannot express.
@@ -41,14 +41,16 @@ BINDING_SPACE_CAP = 256
 
 
 #: Mapping used to memoize coverage answers across the many forest states a
-#: search evaluates: ``(structural signature, canonical target SQL) → bool``.
-#: Structural (choice-id-insensitive) keys let equal trees rebuilt along
-#: different action sequences — including merges replayed with fresh choice
-#: ids — and trees shared by identity between sibling forest states share one
-#: entry, and the cache holds no tree objects alive.  Coverage is a
-#: deterministic function of structure alone (neither narrowing nor
-#: enumeration looks at choice ids), which makes the sharing safe.  Any
-#: dict-like mapping works; the cost model passes a bounded LruDict.
+#: search evaluates, and across generations on one catalog:
+#: ``(structural signature, choice-id sharing pattern, canonical target SQL)
+#: → bool``.  The id-insensitive structural signature lets equal trees
+#: rebuilt along different action sequences — including merges replayed with
+#: fresh choice ids — share one entry, and the cache holds no tree objects
+#: alive.  Coverage never looks at the ids themselves, only at which choice
+#: nodes share one (a shared id makes them agree), so the sharing pattern of
+#: :func:`~repro.difftree.signatures.choice_sharing` completes an exact key.
+#: Any dict-like mapping works; the cost model passes a bounded LruDict, by
+#: default the catalog's shared one.
 CoverageCache = dict
 
 _TARGET_KEYS_ATTR = "_repro_match_keys"
@@ -164,11 +166,11 @@ def narrowed_domains(tree: SqlNode, target: SqlNode) -> dict[str, list[Any]]:
     return domains
 
 
-def _query_covered(tree, query, signature, cache: CoverageCache | None) -> bool:
+def _query_covered(tree, query, tree_key, cache: CoverageCache | None) -> bool:
     target_sql = canonical_sql(query)
     key = None
     if cache is not None:
-        key = (signature, target_sql)
+        key = (*tree_key, target_sql)
         cached = cache.get(key)
         if cached is not None:
             return cached
@@ -201,10 +203,10 @@ def tree_covered_count(
     ratio/cost recompose from these counts, so an incremental evaluation only
     pays for the trees an action changed.
     """
-    signature = structural_signature(tree) if cache is not None else None
+    tree_key = (structural_signature(tree), choice_sharing(tree)) if cache is not None else None
     covered = 0
     for query_index in member_indices:
-        if _query_covered(tree, forest.queries[query_index], signature, cache):
+        if _query_covered(tree, forest.queries[query_index], tree_key, cache):
             covered += 1
     return covered
 

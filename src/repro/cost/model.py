@@ -120,6 +120,7 @@ class CostModel:
         weights: CostWeights | None = None,
         check_expressiveness: bool = True,
         nominal_cardinalities: dict[str, int] | None = None,
+        coverage_memo=None,
     ) -> None:
         """
         Args:
@@ -130,15 +131,22 @@ class CostModel:
             nominal_cardinalities: optional attribute → distinct-count map so
                 the visualization term can price noisy color encodings (built
                 from the catalog by the pipeline).
+            coverage_memo: optional shared coverage-verdict mapping (the
+                pipeline passes the catalog's ``coverage_memo``, so verdicts
+                outlive one generation); without one the model keeps a
+                private LRU of the same capacity.
         """
         from repro.difftree.signatures import LruDict
+        from repro.engine.catalog import COVERAGE_MEMO_CAPACITY
 
         self.weights = weights or CostWeights()
         self.check_expressiveness = check_expressiveness
         self.nominal_cardinalities = nominal_cardinalities or {}
         # One boolean per (tree structure, member query) pair.  Bounded all
         # the same: a long search must not hold every structure it ever costed.
-        self._coverage_cache = LruDict(4096)
+        if coverage_memo is None:
+            coverage_memo = LruDict(COVERAGE_MEMO_CAPACITY)
+        self._coverage_cache = coverage_memo
         self._filter_attribute_cache = LruDict(2048)
 
     # ------------------------------------------------------------------ #

@@ -9,6 +9,7 @@ which queries to cluster into the same Difftree.
 
 from __future__ import annotations
 
+from repro.difftree.signatures import tree_signature
 from repro.sql.ast_nodes import (
     BinaryOp,
     ColumnRef,
@@ -163,13 +164,14 @@ def tree_fingerprint(node: SqlNode) -> str:
 def shared_node_count(a: SqlNode, b: SqlNode) -> int:
     """Number of structurally identical subtrees shared by ``a`` and ``b``.
 
-    Counted over multisets of subtree fingerprints, so repeated structure is
-    credited once per occurrence.
+    Counted over multisets of subtree signatures, so repeated structure is
+    credited once per occurrence.  The signatures are memoized on the nodes,
+    so comparing every query pair of a log computes each one once.
     """
     def fingerprint_counts(node: SqlNode) -> dict[tuple, int]:
         counts: dict[tuple, int] = {}
         for descendant in node.walk():
-            key = _subtree_key(descendant)
+            key = tree_signature(descendant)
             counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -179,10 +181,6 @@ def shared_node_count(a: SqlNode, b: SqlNode) -> int:
     for key, count in counts_a.items():
         shared += min(count, counts_b.get(key, 0))
     return shared
-
-
-def _subtree_key(node: SqlNode) -> tuple:
-    return (node.label(), tuple(_subtree_key(child) for child in node.children()))
 
 
 def structural_similarity(a: SqlNode, b: SqlNode) -> float:

@@ -110,9 +110,23 @@ def is_choice_node(node: SqlNode) -> bool:
     return isinstance(node, ChoiceNode)
 
 
-def collect_choice_nodes(tree: SqlNode) -> list[ChoiceNode]:
-    """All choice nodes of a Difftree in pre-order."""
-    return [node for node in tree.walk() if isinstance(node, ChoiceNode)]
+def collect_choice_nodes(tree: SqlNode) -> tuple[ChoiceNode, ...]:
+    """All choice nodes of a Difftree in pre-order.
+
+    Memoized as a tuple on the frozen node, like ``SqlNode.children()``: the
+    mapping, cost and interface layers ask for the same trees' choice nodes
+    tens of thousands of times per search.  The memo is not a dataclass
+    field, so ``with_children`` / ``dataclasses.replace`` build nodes
+    without it, and a pickle round trip carries it along with the very
+    nodes it lists.
+    """
+    try:
+        return tree._repro_choice_nodes  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    choices = tuple(node for node in tree.walk() if isinstance(node, ChoiceNode))
+    object.__setattr__(tree, "_repro_choice_nodes", choices)
+    return choices
 
 
 def choice_node_by_id(tree: SqlNode, choice_id: str) -> ChoiceNode:

@@ -31,6 +31,7 @@ fields, so node equality and hashing are unaffected.
 from __future__ import annotations
 
 import sys
+import threading
 from typing import Any, Hashable
 
 from repro.sql.ast_nodes import SqlNode
@@ -131,6 +132,28 @@ def structural_signature(node: SqlNode) -> tuple:
     return signature
 
 
+def choice_sharing(node: SqlNode) -> tuple[int, ...] | None:
+    """Which choice nodes of a Difftree share a choice id, or None when none do.
+
+    :func:`structural_signature` erases choice ids, so on its own it cannot
+    tell a tree whose two ANY nodes share one id (one binding drives both)
+    from the same tree with distinct ids.  The pattern lists, per choice node
+    in pre-order, the position of the first node carrying its id; together
+    with the structural signature it pins a tree down up to a renaming of
+    its ids, which is all that id-insensitive values (coverage verdicts) may
+    depend on.  The search never builds shared-id trees, so the common
+    answer is None.
+    """
+    from repro.difftree.nodes import collect_choice_nodes
+
+    first: dict[str, int] = {}
+    pattern = tuple(
+        first.setdefault(choice.choice_id, position)
+        for position, choice in enumerate(collect_choice_nodes(node))
+    )
+    return None if len(first) == len(pattern) else pattern
+
+
 def forest_signature(forest) -> tuple:
     """Hashable identity of a forest: per-tree fingerprints plus membership.
 
@@ -226,3 +249,38 @@ class LruDict:
             "misses": self.misses,
             "evictions": self.evictions,
         }
+
+
+class SharedLruDict(LruDict):
+    """An :class:`LruDict` that threads may share: one leaf lock per operation.
+
+    The lock is never held while calling out, so it can sit below every
+    other lock in the process (see the locking hierarchy in
+    ``docs/SERVING.md``).
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, capacity: int = 1024) -> None:
+        super().__init__(capacity)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        with self._lock:
+            return LruDict.get(self, key, default)
+
+    def put(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            LruDict.put(self, key, value)
+
+    def clear(self) -> None:
+        with self._lock:
+            LruDict.clear(self)
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return LruDict.stats(self)

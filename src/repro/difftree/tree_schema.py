@@ -383,30 +383,21 @@ def _reindexed(profile: TreeProfile, index: int) -> TreeProfile:
 def forest_schema(
     forest: DifftreeForest,
     table_schemas: dict[str, TableSchema],
-    profile_cache: "dict | TreeProfileCache | None" = None,
+    profile_cache: TreeProfileCache | None = None,
 ) -> ForestSchema:
     """Profiles for every tree of a forest.
 
-    ``profile_cache`` lets the search layer reuse profiles of trees shared
-    between neighbouring forest states.  It accepts either a
-    :class:`TreeProfileCache` (signature-keyed, LRU-bounded — what the search
-    layer uses) or a plain identity-keyed dict (the legacy protocol).
+    ``profile_cache`` (signature-keyed, LRU-bounded) lets the search layer
+    reuse profiles of trees shared between neighbouring forest states.
     """
     profiles = []
-    use_tree_cache = isinstance(profile_cache, TreeProfileCache)
     for index, tree in enumerate(forest.trees):
-        if use_tree_cache:
-            cached_profile = profile_cache.get(tree)
-        else:
-            cached = profile_cache.get(id(tree)) if profile_cache is not None else None
-            cached_profile = cached[1] if cached is not None else None
+        cached_profile = profile_cache.get(tree) if profile_cache is not None else None
         if cached_profile is not None:
             profile = _reindexed(cached_profile, index)
         else:
             profile = tree_profile(tree, index, table_schemas)
-            if use_tree_cache:
+            if profile_cache is not None:
                 profile_cache.put(tree, profile)
-            elif profile_cache is not None:
-                profile_cache[id(tree)] = (tree, profile)
         profiles.append(profile)
     return ForestSchema(profiles=profiles)

@@ -11,6 +11,10 @@ or ASTs through the planner/executor.  It also owns the two execution caches:
   — the dominant pattern in interface instantiation and search — skip
   execution entirely.
 
+Beside them it owns the **coverage memo** the interface cost model keeps its
+verdicts in (bounded, thread-safe, shared by every snapshot), so repeated
+generations on one catalog reuse them.
+
 Concurrency model (the serving layer's contract — see ``docs/SERVING.md``):
 
 * **Readers pin snapshots.**  Every ``execute`` atomically pins a
@@ -38,6 +42,7 @@ import threading
 from typing import Any, Iterable, Sequence
 
 from repro.errors import CatalogError
+from repro.difftree.signatures import SharedLruDict
 from repro.engine.explain import ExplainReport
 from repro.engine.ivm import AppendDelta, VersionLog
 from repro.engine.options import ExecOptions, coerce_options
@@ -54,6 +59,10 @@ from repro.sql.schema import TableSchema
 #: node tree across executions is safe (and lets the executor's identity-keyed
 #: memos hit too).
 AST_CACHE_CAPACITY = 512
+
+#: LRU capacity of the coverage memo (``Catalog.coverage_memo``): one boolean
+#: per (tree structure, member query) pair the cost model has settled.
+COVERAGE_MEMO_CAPACITY = 4096
 
 #: Process-wide catalog identity counter.  Data-version fingerprints are only
 #: comparable *within* one catalog lineage (two independent catalogs both
@@ -102,6 +111,12 @@ class Catalog:
         self._plan_cache: dict = {}
         self._ast_cache: dict[str, SqlNode] = {}
         self._query_cache = QueryCache(capacity=query_cache_capacity)
+        #: Coverage verdicts of the interface cost model (see
+        #: ``cost/expressiveness.py``).  They depend on tree structure and
+        #: query text only — never on data — so writers leave the memo alone
+        #: and it lives as long as the catalog lineage: every snapshot shares
+        #: it, and each generation on this catalog starts warm.
+        self._coverage_memo = SharedLruDict(COVERAGE_MEMO_CAPACITY)
         #: Guards the table map, version reads and snapshot pinning.  Held
         #: only for pointer swaps and O(tables) bookkeeping — never across
         #: execution, parsing or table cloning.
@@ -313,6 +328,7 @@ class Catalog:
                     parse=self._parse,
                     catalog_id=self.catalog_id,
                     version_log=self._version_log,
+                    coverage_memo=self._coverage_memo,
                 )
                 self._snapshot_memo = snapshot
         if freeze:
@@ -436,6 +452,10 @@ class Catalog:
     def query_cache(self) -> QueryCache:
         return self._query_cache
 
+    @property
+    def coverage_memo(self) -> SharedLruDict:
+        return self._coverage_memo
+
     def cache_stats(self) -> dict[str, Any]:
         """Result- and plan-cache counters (hits, misses, hit rate, sizes)."""
         stats = self._query_cache.snapshot()
@@ -443,11 +463,12 @@ class Catalog:
         return stats
 
     def clear_caches(self) -> None:
-        """Drop all cached results, compiled plans and parsed ASTs."""
-        # The result cache has its own lock and is cleared outside _lock,
-        # keeping the invariant that cache-internal locks are never acquired
-        # while a catalog lock is held.
+        """Drop all cached results, compiled plans, parsed ASTs and coverage verdicts."""
+        # The result cache and the coverage memo have their own locks and are
+        # cleared outside _lock, keeping the invariant that cache-internal
+        # locks are never acquired while a catalog lock is held.
         self._query_cache.clear()
+        self._coverage_memo.clear()
         with self._lock:
             self._plan_cache.clear()
             self._ast_cache.clear()
@@ -474,7 +495,8 @@ class CatalogSnapshot:
     compiled-plan cache: both key entries by the *pinned* data version, so
     readers at different versions populate disjoint entries and a snapshot can
     never be served a result or an optimized plan computed from data it cannot
-    see.
+    see.  They also share its coverage memo, whose verdicts hold at every
+    version.
     """
 
     def __init__(
@@ -486,6 +508,8 @@ class CatalogSnapshot:
         parse,
         catalog_id: int = 0,
         version_log: VersionLog | None = None,
+        *,
+        coverage_memo: SharedLruDict,
     ) -> None:
         self._tables = tables
         self._version = version
@@ -494,6 +518,7 @@ class CatalogSnapshot:
         self._parse = parse
         self.catalog_id = catalog_id
         self._version_log = version_log
+        self._coverage_memo = coverage_memo
         self._schemas_memo: dict[str, TableSchema] | None = None
 
     # ------------------------------------------------------------------ #
@@ -503,11 +528,12 @@ class CatalogSnapshot:
     # What crosses the process boundary: the pinned table map (immutable
     # data + incrementally maintained column statistics), the version
     # fingerprint and the catalog identity token.  What never crosses:
-    # the caches (they hold locks, and a worker's caches must key off the
-    # worker's own state) and the owning catalog's bound parse memo.  An
-    # unpickled snapshot is self-sufficient — fresh empty caches, a
-    # detached parser — and a worker that wants cross-fingerprint cache
-    # reuse attaches shared caches afterwards via ``attach_caches``.
+    # the caches, the coverage memo included (they hold locks, and a
+    # worker's caches must key off the worker's own state), and the owning
+    # catalog's bound parse memo.  An unpickled snapshot is self-sufficient
+    # — fresh empty caches, a detached parser — and a worker that wants
+    # cross-fingerprint cache reuse attaches shared caches afterwards via
+    # ``attach_caches``.
 
     def __getstate__(self) -> dict:
         # Ship *warm* tables: column statistics, null counts, and sealed
@@ -536,6 +562,7 @@ class CatalogSnapshot:
         # at a version is a cold recompute, exactly matching what the fold
         # path must be equivalent to.
         self._version_log = None
+        self._coverage_memo = SharedLruDict(COVERAGE_MEMO_CAPACITY)
         self._schemas_memo = None
 
     def attach_caches(
@@ -543,15 +570,16 @@ class CatalogSnapshot:
         plan_cache: dict | None = None,
         query_cache: QueryCache | None = None,
         parse=None,
+        coverage_memo: SharedLruDict | None = None,
     ) -> None:
         """Attach shared caches to a detached (unpickled) snapshot.
 
         The worker handshake: a worker process holding snapshots at several
         fingerprints shares one result cache (keys embed the pinned version,
-        so entries never collide), one parse memo, and one compiled-plan
-        cache **per schema version** (plans bake in table-set analysis, so
-        they are only reusable while the schema component of the fingerprint
-        is unchanged).
+        so entries never collide), one parse memo, one coverage memo
+        (verdicts hold at every version), and one compiled-plan cache **per
+        schema version** (plans bake in table-set analysis, so they are only
+        reusable while the schema component of the fingerprint is unchanged).
         """
         if plan_cache is not None:
             self._plan_cache = plan_cache
@@ -559,6 +587,8 @@ class CatalogSnapshot:
             self._query_cache = query_cache
         if parse is not None:
             self._parse = parse
+        if coverage_memo is not None:
+            self._coverage_memo = coverage_memo
 
     def freeze_tables(self) -> None:
         """Freeze every pinned table (idempotent) — see :meth:`Table.freeze`."""
@@ -598,6 +628,10 @@ class CatalogSnapshot:
     @property
     def query_cache(self) -> QueryCache:
         return self._query_cache
+
+    @property
+    def coverage_memo(self) -> SharedLruDict:
+        return self._coverage_memo
 
     def __contains__(self, name: str) -> bool:
         return self.has_table(name)

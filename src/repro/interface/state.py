@@ -49,7 +49,8 @@ class InterfaceState:
             index: default_bindings(tree) for index, tree in enumerate(interface.forest.trees)
         }
         self.history: list[EventRecord] = []
-        self._cache: dict[int, QueryResult] = {}
+        #: Per tree: (catalog data version, result of its current query).
+        self._cache: dict[int, tuple[tuple, QueryResult]] = {}
 
     # ------------------------------------------------------------------ #
     # Queries and data
@@ -72,14 +73,17 @@ class InterfaceState:
         Execution goes through :func:`instantiate_and_execute`, i.e. the
         catalog's canonical-query result cache: revisiting a binding (or
         another interface whose tree instantiates to an equivalent query)
-        reuses the materialized result.
+        reuses the materialized result.  The per-tree memo is keyed by the
+        catalog's data version, so rows appended since the last refresh are
+        never hidden behind it.
         """
-        if tree_index not in self._cache:
+        version = self.catalog.data_version()
+        entry = self._cache.get(tree_index)
+        if entry is None or entry[0] != version:
             tree = self.interface.forest.trees[tree_index]
-            self._cache[tree_index] = instantiate_and_execute(
-                tree, self.catalog, self.bindings[tree_index]
-            )
-        return self._cache[tree_index]
+            entry = (version, instantiate_and_execute(tree, self.catalog, self.bindings[tree_index]))
+            self._cache[tree_index] = entry
+        return entry[1]
 
     def data_for(self, vis_id: str) -> QueryResult:
         """Execute the query feeding one visualization."""

@@ -112,7 +112,6 @@ def map_forest_to_interface(
     forest: DifftreeForest,
     table_schemas: dict[str, TableSchema],
     config: MappingConfig | None = None,
-    profile_cache: dict | None = None,
     caches: MappingCaches | None = None,
 ) -> Interface:
     """Map a Difftree forest to a complete candidate interface.
@@ -120,14 +119,11 @@ def map_forest_to_interface(
     ``caches`` (optional) enables the incremental per-tree path: unchanged
     trees reuse their cached profile, chart template and interaction-mapping
     piece, so a candidate that differs from its neighbour in one tree only
-    pays for that tree.  ``profile_cache`` is the legacy identity-keyed
-    profile dict (still honoured when ``caches`` is not given).
+    pays for that tree.
     """
     config = config or MappingConfig()
     schema = forest_schema(
-        forest,
-        table_schemas,
-        profile_cache=caches.profiles if caches is not None else profile_cache,
+        forest, table_schemas, profile_cache=caches.profiles if caches is not None else None
     )
 
     visualizations = [

@@ -118,6 +118,10 @@ def generate_interface(
             May be a pinned :class:`~repro.engine.catalog.CatalogSnapshot` —
             the serving layer passes one so a whole generation run reads a
             single consistent data version while writers keep ingesting.
+            The cost model keeps its coverage verdicts in the catalog's
+            ``coverage_memo``, so later generations on the same catalog
+            start warm; time a cold generation on a fresh catalog or after
+            ``clear_caches()``.
         config: Pipeline configuration; defaults to MCTS search on a
             medium-sized screen.
         profile_executor: optional ``concurrent.futures`` executor the search
@@ -132,7 +136,9 @@ def generate_interface(
     table_schemas = catalog.schemas()
     nominal_cardinalities = _nominal_cardinalities(catalog)
     cost_model = CostModel(
-        weights=config.cost_weights, nominal_cardinalities=nominal_cardinalities
+        weights=config.cost_weights,
+        nominal_cardinalities=nominal_cardinalities,
+        coverage_memo=catalog.coverage_memo,
     )
     mapping_config = MappingConfig(
         screen=config.screen, policy=config.mapping_policy, name=config.name

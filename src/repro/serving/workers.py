@@ -62,7 +62,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import multiprocessing
 
-from repro.engine.catalog import CatalogSnapshot, DetachedParser
+from repro.difftree.signatures import SharedLruDict
+from repro.engine.catalog import COVERAGE_MEMO_CAPACITY, CatalogSnapshot, DetachedParser
 from repro.engine.options import ExecOptions, coerce_options
 from repro.engine.query_cache import QueryCache
 from repro.errors import DeadlineExceededError, QueryTimeoutError, WorkerError
@@ -158,11 +159,12 @@ def _run_task(
 class _WorkerState:
     """Per-process snapshot cache + shared execution caches.
 
-    Snapshots are cached by ``(catalog_id, fingerprint)``; the result cache
-    and parse memo are shared across fingerprints (result keys embed the
-    pinned version, parsing is version-independent), and compiled-plan caches
-    are shared **per schema version** — a plan bakes in table-set analysis,
-    so it survives data-version bumps but not register/drop/replace.
+    Snapshots are cached by ``(catalog_id, fingerprint)``; the result cache,
+    parse memo and coverage memo are shared across fingerprints (result keys
+    embed the pinned version, parsing and coverage verdicts are
+    version-independent), and compiled-plan caches are shared **per schema
+    version** — a plan bakes in table-set analysis, so it survives
+    data-version bumps but not register/drop/replace.
     """
 
     def __init__(self, capacity: int = SNAPSHOT_CACHE_CAPACITY) -> None:
@@ -170,6 +172,7 @@ class _WorkerState:
         self.snapshots: OrderedDict[tuple, CatalogSnapshot] = OrderedDict()
         self.query_cache = QueryCache(capacity=512)
         self.parse = DetachedParser()
+        self.coverage_memo = SharedLruDict(COVERAGE_MEMO_CAPACITY)
         self.plan_caches: dict[tuple, dict] = {}
 
     def lookup(self, key: tuple) -> CatalogSnapshot | None:
@@ -185,6 +188,7 @@ class _WorkerState:
             plan_cache=self.plan_caches.setdefault(plan_key, {}),
             query_cache=self.query_cache,
             parse=self.parse,
+            coverage_memo=self.coverage_memo,
         )
         self.snapshots[key] = snapshot
         self.snapshots.move_to_end(key)

@@ -11,6 +11,12 @@ parsed, and inside generated Difftrees (with their ANY/OPT nodes):
 * ``walk()`` yields exactly the recursive pre-order;
 * nodes rebuilt by ``with_children`` or ``dataclasses.replace``, or sent
   through a pickle round trip, never carry a stale memo.
+
+Two more facts are memoized on the frozen node the same way and held to the
+same three checks: ``collect_choice_nodes`` (a tuple of the choice nodes in
+pre-order, by identity) and ``tree_signature`` (the ``(label, child keys)``
+tuple ``structural_similarity`` compares for every subtree of every query
+pair).
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from repro.datasets import (
     synthetic_covid_log,
 )
 from repro.difftree.builder import build_forest
-from repro.difftree.nodes import ChoiceNode
+from repro.difftree.nodes import ChoiceNode, collect_choice_nodes
+from repro.difftree.signatures import tree_signature
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.sql.ast_nodes import Literal, SqlNode
 from repro.sql.parser import parse_select
@@ -64,6 +71,14 @@ def recursive_preorder(node: SqlNode):
     yield node
     for child in field_children(node):
         yield from recursive_preorder(child)
+
+
+def fresh_choice_nodes(node: SqlNode) -> list[SqlNode]:
+    return [descendant for descendant in recursive_preorder(node) if isinstance(descendant, ChoiceNode)]
+
+
+def fresh_signature(node: SqlNode) -> tuple:
+    return (node.label(), tuple(fresh_signature(child) for child in field_children(node)))
 
 
 def same_nodes(actual, expected) -> bool:
@@ -154,3 +169,54 @@ def test_memo_is_invisible_to_equality_and_repr():
     list(walked.walk())
     assert walked == fresh
     assert repr(walked) == repr(fresh)
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_choice_nodes_match_a_fresh_walk(roots, log):
+    for root in roots[log]:
+        for node in recursive_preorder(root):
+            first = collect_choice_nodes(node)
+            assert isinstance(first, tuple)
+            assert same_nodes(first, fresh_choice_nodes(node)), type(node).__name__
+            assert collect_choice_nodes(node) is first  # memoized
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_tree_signatures_match_a_fresh_computation(roots, log):
+    for root in roots[log]:
+        for node in recursive_preorder(root):
+            first = tree_signature(node)
+            assert first == fresh_signature(node), type(node).__name__
+            assert tree_signature(node) is first  # memoized
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_rebuilt_nodes_carry_no_stale_choice_or_signature_memo(roots, log):
+    for root in roots[log]:
+        for node in root.walk():
+            old = node.children()
+            if not old:
+                continue
+            collect_choice_nodes(node)  # populate both memos before rebuilding
+            tree_signature(node)
+            markers = [Literal(f"marker {index}") for index in range(len(old))]
+            for rebuilt in (
+                node.with_children(markers),
+                dataclasses.replace(node, **first_child_replaced(node, markers[0])),
+            ):
+                assert same_nodes(collect_choice_nodes(rebuilt), fresh_choice_nodes(rebuilt))
+                assert tree_signature(rebuilt) == fresh_signature(rebuilt)
+                assert tree_signature(rebuilt) != tree_signature(node)
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_pickled_nodes_carry_no_stale_choice_or_signature_memo(roots, log):
+    for root in roots[log]:
+        for node in root.walk():
+            collect_choice_nodes(node)  # memoize everywhere before pickling
+            tree_signature(node)
+        copy = pickle.loads(pickle.dumps(root))
+        for node in recursive_preorder(copy):
+            # By identity: the memo lists the copy's own choice nodes.
+            assert same_nodes(collect_choice_nodes(node), fresh_choice_nodes(node))
+            assert tree_signature(node) == fresh_signature(node)

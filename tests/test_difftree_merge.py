@@ -31,7 +31,7 @@ class TestPairwiseMerge:
         q = parse_select("SELECT a FROM t WHERE a = 1")
         merged = merge_nodes(q, q)
         assert merged == q
-        assert collect_choice_nodes(merged) == []
+        assert collect_choice_nodes(merged) == ()
 
     def test_figure3a_predicate_choice(self, fig2_queries):
         """Q1/Q2 differ in both predicate operands → one ANY over whole predicates."""

@@ -11,6 +11,7 @@ from repro.difftree import (
     tree_profile,
 )
 from repro.difftree.transformations import applicable_transformations
+from repro.difftree.tree_schema import TreeProfileCache
 from repro.sql.parser import parse_select
 from repro.sql.schema import AttributeRole
 
@@ -100,13 +101,16 @@ class TestTreeProfiles:
 
     def test_profile_cache_reuse(self, covid_catalog, covid_log):
         forest = build_forest(covid_log, strategy="clustered")
-        cache: dict = {}
+        cache = TreeProfileCache()
         first = forest_schema(forest, covid_catalog.schemas(), profile_cache=cache)
+        assert (cache.hits, cache.misses) == (0, forest.tree_count)
         second = forest_schema(forest, covid_catalog.schemas(), profile_cache=cache)
-        assert len(cache) == forest.tree_count
+        assert (cache.hits, cache.misses) == (forest.tree_count, forest.tree_count)
+        assert cache.stats()["entries"] == forest.tree_count
         assert [p.default_query for p in first.profiles] == [
             p.default_query for p in second.profiles
         ]
+        assert all(a is b for a, b in zip(first.profiles, second.profiles))
 
     def test_range_pairs_accessor(self, sdss_log, sdss_catalog):
         forest = build_forest(sdss_log, strategy="merged")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datasets import load_covid_catalog
+from repro.engine.options import ExecOptions
 from repro.errors import InterfaceError
 from repro.interface import InteractionType, WidgetType
 from repro.mapping import MappingConfig, map_forest_to_interface
@@ -167,3 +169,22 @@ class TestWidgets:
         state.set_widget(range_widgets[0].widget_id, (1, 3))
         sql = state.current_sql(0)
         assert "BETWEEN 1 AND 3" in sql
+
+
+class TestDataVersion:
+    def test_refresh_after_append_matches_a_cold_execution(self, covid_log):
+        catalog = load_covid_catalog()  # private: this test writes to it
+        result = generate_interface(covid_log[:3], catalog, PipelineConfig(method="greedy", seed=2))
+        state = result.start_session(catalog)
+        before = state.refresh_all()
+        catalog.append_rows(
+            "covid_cases", [("NY", "2021-12-05", 100000), ("TX", "2021-09-01", 50000)]
+        )
+        after = state.refresh_all()
+        cold_options = ExecOptions(use_cache=False)
+        for vis in state.interface.visualizations:
+            cold = catalog.execute(state.current_query(vis.tree_index), cold_options)
+            assert after[vis.vis_id].columns == cold.columns
+            assert sorted(after[vis.vis_id].rows, key=repr) == sorted(cold.rows, key=repr)
+        # Not vacuous: the appended rows changed what some chart shows.
+        assert any(after[vis_id].rows != before[vis_id].rows for vis_id in after)

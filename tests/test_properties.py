@@ -138,7 +138,7 @@ class TestDifftreeProperties:
     def test_self_merge_is_identity(self, query):
         merged = merge_nodes(query, query)
         assert merged == query
-        assert collect_choice_nodes(merged) == []
+        assert collect_choice_nodes(merged) == ()
 
     @SETTINGS
     @given(select_queries(), select_queries())
