@@ -469,12 +469,8 @@ WINDOW_WORKLOAD = [
     "SELECT sym, count(*) AS n, max(qty) AS peak FROM trades GROUP BY sym",
 ]
 
-#: Single-column ascending window order — the shape the optimizer can serve
-#: from an ordered secondary index instead of sorting.
-WINDOW_ELISION_QUERY = "SELECT id, sum(qty) OVER (ORDER BY ts) AS running FROM trades"
 
-
-def _window_catalog(indexed: bool = False) -> Catalog:
+def _window_catalog() -> Catalog:
     rng = random.Random(0x5EED)
     catalog = Catalog()
     catalog.create_table(
@@ -491,8 +487,6 @@ def _window_catalog(indexed: bool = False) -> Catalog:
             for i in range(WINDOW_TABLE_ROWS)
         ],
     )
-    if indexed:
-        catalog.create_index("trades", "ts", "ordered")
     return catalog
 
 
@@ -500,27 +494,11 @@ def _measure_windows():
     catalog = _window_catalog()
     elapsed = _time_workload(catalog, WINDOW_WORKLOAD)
     rows_windowed = WINDOW_TABLE_ROWS * (len(WINDOW_WORKLOAD) - 1)  # GROUP BY query aside
-
-    # Sort-elision lever: the same single-column ascending window order, with
-    # and without an ordered secondary index to serve it.
-    plain = _window_catalog(indexed=False)
-    indexed = _window_catalog(indexed=True)
-    assert (
-        plain.execute(WINDOW_ELISION_QUERY, NO_CACHE).rows
-        == indexed.execute(WINDOW_ELISION_QUERY, NO_CACHE).rows
-    ), "window sort elision changed results"
-    sorted_seconds = _time_workload(plain, [WINDOW_ELISION_QUERY])
-    elided_seconds = _time_workload(indexed, [WINDOW_ELISION_QUERY])
     return {
         "queries": len(WINDOW_WORKLOAD),
         "table_rows": WINDOW_TABLE_ROWS,
         "seconds_per_pass": elapsed,
         "window_rows_per_sec": rows_windowed / elapsed if elapsed else 0.0,
-        "elision_sorted_seconds": sorted_seconds,
-        "elision_elided_seconds": elided_seconds,
-        "sort_elision_speedup": (
-            sorted_seconds / elided_seconds if elided_seconds else 0.0
-        ),
     }
 
 
@@ -529,20 +507,16 @@ def test_perf_executor_window_functions(benchmark):
     measurement = benchmark.pedantic(_measure_windows, rounds=1, iterations=1)
     print_table(
         "Perf P9: window functions (partitioned analytics)",
-        ["Queries", "Table rows", "Per pass", "Windowed rows/sec", "Elision speedup"],
+        ["Queries", "Table rows", "Per pass", "Windowed rows/sec"],
         [
             [
                 measurement["queries"],
                 measurement["table_rows"],
                 f"{measurement['seconds_per_pass'] * 1000:.1f} ms",
                 f"{measurement['window_rows_per_sec']:,.0f}",
-                f"{measurement['sort_elision_speedup']:.2f}x",
             ]
         ],
     )
     print(json.dumps({"benchmark": "perf_window", **measurement}))
-    _record_metrics(
-        window_rows_per_sec=measurement["window_rows_per_sec"],
-        window_sort_elision_speedup=measurement["sort_elision_speedup"],
-    )
+    _record_metrics(window_rows_per_sec=measurement["window_rows_per_sec"])
     assert measurement["window_rows_per_sec"] > 0

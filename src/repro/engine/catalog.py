@@ -45,7 +45,7 @@ from repro.errors import CatalogError
 from repro.difftree.signatures import SharedLruDict
 from repro.engine.explain import ExplainReport
 from repro.engine.ivm import AppendDelta, VersionLog
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.query_cache import QueryCache, cache_identity, versioned_key
 from repro.engine.table import QueryResult, Table
 from repro.sql.ast_nodes import Select, SetOperation, SqlNode
@@ -340,21 +340,13 @@ class Catalog:
     # ------------------------------------------------------------------ #
 
     def execute(
-        self,
-        query: str | SqlNode,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        optimize: bool | None = None,
-        deadline: float | None = None,
+        self, query: str | SqlNode, options: ExecOptions = DEFAULT_OPTIONS
     ) -> QueryResult:
         """Execute a SQL string or parsed AST and return its result.
 
         ``options`` carries every execution knob (see :class:`ExecOptions`):
         result-cache participation, the optimizer on/off escape hatch, and
-        the cooperative-cancellation deadline.  The legacy ``use_cache=``/
-        ``optimize=``/``deadline=`` keywords are still accepted with
-        identical behaviour but emit a :class:`DeprecationWarning`.
+        the cooperative-cancellation deadline.
 
         Results are served from the canonical-query cache when an equivalent
         query (same canonical SQL) has already run against the current data
@@ -369,21 +361,13 @@ class Catalog:
         so a concurrent writer swap can neither serve a stale hit nor poison
         the cache with a result computed from newer data.
         """
-        resolved = coerce_options(
-            options,
-            "Catalog.execute",
-            use_cache=use_cache,
-            optimize=optimize,
-            deadline=deadline,
-        )
-        return self.snapshot(freeze=False).execute(query, resolved)
+        return self.snapshot(freeze=False).execute(query, options)
 
     def explain(
         self,
         query: str | SqlNode,
         physical: bool = False,
-        optimize: bool | None = None,
-        options: ExecOptions | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
     ) -> "ExplainReport":
         """Return the query's plan as an :class:`ExplainReport`.
 
@@ -396,16 +380,14 @@ class Catalog:
         ``physical=True`` renders the full compile pipeline: the pre-rewrite
         logical plan, the optimizer's per-rule trace, the optimized logical
         plan and the executable physical plan.  With optimization disabled
-        (``options=ExecOptions(optimize=False)``, or the deprecated
-        ``optimize=False`` keyword) only the verbatim physical lowering is
-        rendered (the pre-optimizer behaviour, still used by
+        (``options=ExecOptions(optimize=False)``) only the verbatim physical
+        lowering is rendered (the pre-optimizer behaviour, still used by
         lowering-specific tests).
         """
         from repro.engine.executor import lower_plan
         from repro.engine.optimizer import optimize_plan
         from repro.engine.planner import Planner
 
-        resolved = coerce_options(options, "Catalog.explain", optimize=optimize)
         node = self._parse(query) if isinstance(query, str) else query
         if not isinstance(node, (Select, SetOperation)):
             raise CatalogError(f"Only SELECT queries can be planned, got {type(node).__name__}")
@@ -413,7 +395,7 @@ class Catalog:
             text = Planner(self.schemas()).plan(node).pretty()
             return ExplainReport(text, logical=text)
         logical = Planner().plan(node)
-        if not resolved.optimize:
+        if not options.optimize:
             text = lower_plan(logical, self, {}).pretty()
             return ExplainReport(text, logical=logical.pretty(), physical=text)
         optimized, trace = optimize_plan(logical, self)
@@ -639,11 +621,7 @@ class CatalogSnapshot:
     def execute(
         self,
         query: str | SqlNode,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        optimize: bool | None = None,
-        deadline: float | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
     ) -> QueryResult:
         """Execute a query against the pinned table versions.
 
@@ -656,31 +634,24 @@ class CatalogSnapshot:
         # catalog types for scans.
         from repro.engine.executor import Executor
 
-        resolved = coerce_options(
-            options,
-            "CatalogSnapshot.execute",
-            use_cache=use_cache,
-            optimize=optimize,
-            deadline=deadline,
-        )
-        run_deadline = resolved.resolved_deadline()
+        run_deadline = options.resolved_deadline()
 
         node = self._parse(query) if isinstance(query, str) else query
         if not isinstance(node, (Select, SetOperation)):
             raise CatalogError(f"Only SELECT queries can be executed, got {type(node).__name__}")
 
-        if not resolved.optimize:
-            if resolved.use_cache:
+        if not options.optimize:
+            if options.use_cache:
                 self._query_cache.note_bypass()
             return Executor(
                 self, plan_cache=self._plan_cache, optimize=False, deadline=run_deadline
             ).execute(node)
 
         key = canonical = None
-        if resolved.use_cache:
+        if options.use_cache:
             key, canonical = cache_identity(node, self._version)
         if key is None:
-            if resolved.use_cache:
+            if options.use_cache:
                 self._query_cache.note_bypass()
             return Executor(
                 self, plan_cache=self._plan_cache, deadline=run_deadline

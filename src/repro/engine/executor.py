@@ -250,16 +250,7 @@ class _Lowerer:
                 input=self.lower(plan.input),
             )
         if isinstance(plan, WindowNode):
-            return WindowExec(
-                windows=list(plan.windows),
-                input=self.lower(plan.input),
-                index_orders=dict(plan.index_orders),
-                scan_table=(
-                    plan.input.table_name
-                    if isinstance(plan.input, ScanNode)
-                    else None
-                ),
-            )
+            return WindowExec(windows=list(plan.windows), input=self.lower(plan.input))
         if isinstance(plan, ProjectNode):
             below = plan.input
             while isinstance(below, (FilterNode, WindowNode)):

@@ -24,9 +24,9 @@ class ExplainReport(str):
             report covers only the logical (or unoptimized-physical) view.
         physical: Physical operator tree rendering, or None for logical-only
             reports.
-        access_paths: Access-path decisions as dicts — index choices, refused
-            indexes, window sort elisions — exactly what the ``access_path``
-            trace lines describe, machine-readable.
+        access_paths: Access-path decisions as dicts — index choices and
+            refused indexes — exactly what the ``access_path`` trace lines
+            describe, machine-readable.
     """
 
     logical: str

@@ -42,7 +42,6 @@ concatenation of per-segment matches globally sorted without a final sort.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from heapq import merge as _heap_merge
 from typing import Any, Iterable, Sequence
 
 from repro.errors import EngineError
@@ -348,29 +347,6 @@ class OrderedIndex(ColumnIndex):
 
     def lookup_eq(self, value: Any) -> list[int] | None:
         return self.lookup_range(value, value, True, True)
-
-    def ordered_positions(self) -> list[int] | None:
-        """All indexed row positions in ascending ``(key, row)`` order.
-
-        Serves whole-column value-ordered scans (the window operator's sort
-        elision): each sealed segment is already sorted by ``(key, row)``, so
-        a k-way merge with the sorted tail yields the global order in one
-        linear pass.  NULL rows are never indexed — callers must prove the
-        column NULL-free (stats) before treating this as a total row order.
-        Returns ``None`` when the index is poisoned or a key mixture turns
-        out incomparable, so callers fall back to sorting.
-        """
-        state = self._state
-        if state is None:
-            return None
-        segments, tail = state
-        try:
-            runs: list = [list(zip(keys, rows)) for keys, rows in segments]
-            if tail:
-                runs.append(sorted(tail))
-            return [row for _, row in _heap_merge(*runs)]
-        except TypeError:
-            return None
 
     def lookup_range(
         self,

@@ -25,9 +25,9 @@ plan into an equivalent, cheaper one.  Rules, in application order:
    the table and the distinct/range statistics estimate the conjunct
    selective enough to beat the fused sequential scan; remaining conjuncts
    stay in a residual filter above.  The decision is recorded in the trace
-   (EXPLAIN-visible).  ``optimize=False`` bypasses this (and every) rule, and
-   a catalog without indexes never takes the path — both serve as escape
-   hatches.
+   (EXPLAIN-visible).  ``ExecOptions(optimize=False)`` bypasses this (and
+   every) rule, and a catalog without indexes never takes the path — both
+   serve as escape hatches.
 5. **projection_pruning** — narrows every base-table scan (including index
    scans) to the columns the rest of the plan (including correlated
    subqueries) references, so joins and filters never gather dead columns.
@@ -75,7 +75,6 @@ from repro.engine.plan_nodes import (
     SortNode,
     WindowNode,
     dedupe_names,
-    window_sort_key,
 )
 from repro.sql.ast_nodes import (
     BetweenOp,
@@ -127,8 +126,8 @@ class OptimizerTrace:
 
     events: list[tuple[str, str]] = field(default_factory=list)
     #: Access-path decisions as data (mirrors the ``access_path`` events):
-    #: index choices, refusals and window sort elisions, for consumers that
-    #: want decisions instead of prose (see ``ExplainReport.access_paths``).
+    #: index choices and refusals, for consumers that want decisions instead
+    #: of prose (see ``ExplainReport.access_paths``).
     access_decisions: list[dict[str, Any]] = field(default_factory=list)
 
     def record(self, rule: str, detail: str) -> None:
@@ -732,8 +731,9 @@ class _Optimizer:
             return self._rewrite_project(plan)
         if isinstance(plan, WindowNode):
             # Defensive: the planner always places a Project above a Window.
-            return self._attach_window(
-                plan, self._rewrite_project_input(plan.input, star_in_scope=True)
+            return WindowNode(
+                input=self._rewrite_project_input(plan.input, star_in_scope=True),
+                windows=list(plan.windows),
             )
         # A bare FROM subtree (defensive: the planner always adds a Project).
         return self._rewrite_from(plan, [], star_in_scope=True)
@@ -773,7 +773,7 @@ class _Optimizer:
 
         inner = self._rewrite_project_input(below, star_in_scope)
         if window is not None:
-            inner = self._attach_window(window, inner)
+            inner = WindowNode(input=inner, windows=list(window.windows))
         return ProjectNode(input=inner, items=list(project.items))
 
     def _rewrite_project_input(self, below: PlanNode, star_in_scope: bool) -> PlanNode:
@@ -915,11 +915,7 @@ class _Optimizer:
             below = plan.input
             if pushable:
                 below = self._push_into(below, pushable)
-            rebuilt = WindowNode(
-                input=below,
-                windows=list(plan.windows),
-                index_orders=dict(plan.index_orders),
-            )
+            rebuilt = WindowNode(input=below, windows=list(plan.windows))
             return self._wrap_filter(rebuilt, kept)
         return self._wrap_filter(self.rewrite(plan), conjuncts)
 
@@ -1012,74 +1008,6 @@ class _Optimizer:
                 ):
                     return False
         return True
-
-    def _attach_window(self, window: WindowNode, inner: PlanNode) -> WindowNode:
-        """Re-wrap a rewritten input in the WindowNode, choosing index orders.
-
-        When the input is a plain base-table scan and a window's single
-        ascending ORDER BY key has an ordered secondary index whose statistics
-        prove the column self-comparable, the sort for that window spec can be
-        served by the index (the executor re-verifies coverage and NULL-
-        freeness at run time and falls back to sorting otherwise).
-        """
-        index_orders = dict(window.index_orders)
-        if (
-            self._catalog is not None
-            and isinstance(inner, ScanNode)
-            and inner.table_name != "<dual>"
-            and inner.table_name.lower() not in self._cte_types
-            and self._catalog.has_table(inner.table_name)
-        ):
-            table = self._catalog.table(inner.table_name)
-            for call in window.windows:
-                key = window_sort_key(call.spec)
-                if key in index_orders:
-                    continue
-                order = self._window_index_order(call.spec, inner, table)
-                if order is not None:
-                    index_orders[key] = order
-                    self._trace.record(
-                        "access_path",
-                        f"window ORDER BY {order[1]} served by ordered index on "
-                        f"{order[0]}.{order[1]} (sort elided)",
-                    )
-                    self._trace.record_access(
-                        decision="window_sort_elision",
-                        table=order[0],
-                        column=order[1],
-                        kind="ordered",
-                        op="window_order",
-                        chosen=True,
-                    )
-        return WindowNode(
-            input=inner, windows=list(window.windows), index_orders=index_orders
-        )
-
-    def _window_index_order(
-        self, spec, scan: ScanNode, table
-    ) -> tuple[str, str] | None:
-        if len(spec.order_by) != 1:
-            return None
-        item = spec.order_by[0]
-        if item.descending:
-            # Reversing index order would flip tie order relative to the
-            # stable sort path; refuse rather than diverge.
-            return None
-        ref = item.expr
-        if not isinstance(ref, ColumnRef):
-            return None
-        if not self._ref_binds_to_scan(ref, scan, table):
-            return None
-        index = table.column_index(ref.name, "ordered")
-        if index is None or index.poisoned:
-            return None
-        try:
-            column_type = table.value_type(ref.name)
-        except Exception:  # noqa: BLE001 - stats are best effort
-            return None
-        if column_type is None or not _comparable(column_type, column_type):
-            return None
-        return (scan.table_name, ref.name)
 
     def _scope_of(self, plan: PlanNode) -> dict[str, BindingInfo] | None:
         return plan_binding_infos(plan, self._catalog, self._cte_types)
@@ -1739,7 +1667,6 @@ class _Optimizer:
             return WindowNode(
                 input=self._select_access(plan.input, shadowed),
                 windows=list(plan.windows),
-                index_orders=dict(plan.index_orders),
             )
         if isinstance(plan, DistinctNode):
             return DistinctNode(input=self._select_access(plan.input, shadowed))
@@ -1992,7 +1919,6 @@ class _Optimizer:
             return WindowNode(
                 input=self._apply_pruning(plan.input, demands),
                 windows=list(plan.windows),
-                index_orders=dict(plan.index_orders),
             )
         if isinstance(plan, DistinctNode):
             return DistinctNode(input=self._apply_pruning(plan.input, demands))

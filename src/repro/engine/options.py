@@ -2,22 +2,17 @@
 
 :class:`ExecOptions` is the single knob bag accepted by
 :meth:`Catalog.execute`, :meth:`CatalogSnapshot.execute`,
-:meth:`Session.execute`, :meth:`InterfaceService.submit_execute` and the
-process tier's dispatch — one frozen, picklable value that crosses every
-layer (including the worker-process pipe) unchanged, so a new execution knob
-is added here once instead of being threaded through five signatures.
-
-The legacy per-call keywords (``use_cache=``, ``optimize=``, ``deadline=``,
-``deadline_ms=``) remain accepted everywhere through :func:`coerce_options`,
-which emits a :class:`DeprecationWarning` and folds them into an equivalent
-``ExecOptions`` — identical behaviour, one release of grace.
+:meth:`Session.execute`, :meth:`InterfaceService.submit_execute`, the
+process tier's dispatch and the async frontend — one frozen, picklable value
+that crosses every layer (including the worker-process pipe) unchanged, so a
+new execution knob is added here once instead of being threaded through
+every signature.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass
 
 
@@ -72,45 +67,3 @@ class ExecOptions:
 #: (the dataclass is frozen, so they cannot).
 DEFAULT_OPTIONS = ExecOptions()
 
-
-def coerce_options(
-    options: "ExecOptions | bool | None",
-    where: str,
-    **legacy,
-) -> ExecOptions:
-    """Resolve the ``options`` argument plus legacy keywords to ExecOptions.
-
-    ``options`` may be an :class:`ExecOptions`, ``None`` (defaults), or — for
-    compatibility with the old positional signatures — a bare bool, which is
-    interpreted as the legacy leading ``use_cache`` flag.  ``legacy`` holds
-    the deprecated per-call keywords with ``None`` meaning "not given".
-    Passing both an ``ExecOptions`` and legacy keywords is a programming
-    error and raises ``TypeError`` rather than silently preferring one.
-    """
-    if isinstance(options, ExecOptions):
-        # Hot path: a real ExecOptions with no legacy keywords — avoid
-        # building the filtered-kwargs dict per query.
-        for key, value in legacy.items():
-            if value is not None:
-                raise TypeError(
-                    f"{where}: pass execution knobs via ExecOptions, not mixed "
-                    f"with legacy keyword(s) [{key!r}]"
-                )
-        return options
-    given = {key: value for key, value in legacy.items() if value is not None}
-    if isinstance(options, bool):
-        given.setdefault("use_cache", options)
-        options = None
-    if options is not None:
-        raise TypeError(
-            f"{where}: options must be an ExecOptions, got {type(options).__name__}"
-        )
-    if not given:
-        return DEFAULT_OPTIONS
-    warnings.warn(
-        f"{where}: the {', '.join(sorted(given))} keyword(s) are deprecated; "
-        f"pass ExecOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecOptions(**given)

@@ -210,28 +210,18 @@ class WindowNode(PlanNode):
     ``windows`` holds the scope's distinct :class:`WindowCall` ASTs; the
     physical operator publishes one result vector per call into the batch's
     aggregate-substitution map keyed by canonical SQL (the same mechanism
-    GROUP BY results ride).  ``index_orders`` is the optimizer's sort-elision
-    hint: spec sort key -> ``(table, column)`` whose ordered secondary index
-    provably yields the spec's sort order (ascending, NULL-free by stats).
+    GROUP BY results ride).
     """
 
     input: PlanNode
     windows: list[SqlNode] = field(default_factory=list)
-    index_orders: dict = field(default_factory=dict)
 
     def children(self) -> list[PlanNode]:
         return [self.input]
 
     def description(self) -> str:
         calls = ", ".join(to_sql(window) for window in self.windows)
-        hint = ""
-        if self.index_orders:
-            columns = ", ".join(
-                f"{table}.{column}"
-                for table, column in sorted(set(self.index_orders.values()))
-            )
-            hint = f", index_order=[{columns}]"
-        return f"Window({calls}{hint})"
+        return f"Window({calls})"
 
 
 @dataclass
@@ -1015,31 +1005,17 @@ class WindowExec(PhysicalNode):
     * no ``ORDER BY``: the whole partition;
     * explicit ``ROWS`` frames: physical row offsets, with an incremental
       accumulator fast path for frames growing from the partition start.
-
-    ``index_orders``/``scan_table`` carry the optimizer's sort-elision hint;
-    the operator re-verifies every precondition at run time (identity scan,
-    NULL-free covered ordered index) and silently falls back to sorting, so a
-    stale hint can never produce wrong answers.
     """
 
     windows: list[SqlNode]
     input: PhysicalNode
-    index_orders: dict = field(default_factory=dict)
-    scan_table: str | None = None
 
     def children(self) -> list[PhysicalNode]:
         return [self.input]
 
     def description(self) -> str:
         calls = ", ".join(to_sql(window) for window in self.windows)
-        hint = ""
-        if self.index_orders:
-            columns = ", ".join(
-                f"{table}.{column}"
-                for table, column in sorted(set(self.index_orders.values()))
-            )
-            hint = f", index_order=[{columns}]"
-        return f"Window({calls}{hint})"
+        return f"Window({calls})"
 
     def execute(self, ctx) -> Batch:
         batch = self.input.execute(ctx)
@@ -1051,7 +1027,7 @@ class WindowExec(PhysicalNode):
             spec_groups.setdefault(window_sort_key(window.spec), []).append(window)
 
         results: dict[str, list[Any]] = {}
-        for spec_key, calls in spec_groups.items():
+        for calls in spec_groups.values():
             ctx.checkpoint()
             if batch.length == 0:
                 for window in calls:
@@ -1060,9 +1036,7 @@ class WindowExec(PhysicalNode):
             spec = calls[0].spec
             order_vectors = [evaluator.eval(item.expr, batch) for item in spec.order_by]
             partitions = self._partitions(evaluator, batch, spec)
-            ordered = self._order_partitions(
-                ctx, batch, spec, spec_key, partitions, order_vectors
-            )
+            ordered = self._order_partitions(spec, partitions, order_vectors)
             for window in calls:
                 out: list[Any] = [None] * batch.length
                 self._compute(ctx, evaluator, batch, window, ordered, order_vectors, out)
@@ -1090,26 +1064,10 @@ class WindowExec(PhysicalNode):
         return [grouped[key] for key in order]
 
     def _order_partitions(
-        self,
-        ctx,
-        batch: Batch,
-        spec,
-        spec_key: tuple,
-        partitions: list[list[int]],
-        order_vectors: list[list[Any]],
+        self, spec, partitions: list[list[int]], order_vectors: list[list[Any]]
     ) -> list[list[int]]:
         if not spec.order_by:
             return partitions
-        global_order = self._index_order(ctx, batch, spec_key)
-        if global_order is not None:
-            if len(partitions) == 1:
-                return [global_order]
-            # Rank rows by the global value order, then sort each partition's
-            # (small) member list by rank — still no value comparisons.
-            rank = [0] * batch.length
-            for position, row in enumerate(global_order):
-                rank[row] = position
-            return [sorted(members, key=rank.__getitem__) for members in partitions]
         keyed = [
             (vector, item.descending, item.nulls_last)
             for vector, item in zip(order_vectors, spec.order_by)
@@ -1118,39 +1076,6 @@ class WindowExec(PhysicalNode):
             stable_sort_indices(list(members), keyed) if len(members) > 1 else list(members)
             for members in partitions
         ]
-
-    def _index_order(self, ctx, batch: Batch, spec_key: tuple) -> list[int] | None:
-        """Row positions in spec order via the ordered index, or None.
-
-        Every precondition the optimizer proved from statistics is
-        re-verified against the live table, so the hint degrades to the sort
-        path instead of ever producing a wrong order.
-        """
-        target = self.index_orders.get(spec_key)
-        if target is None or self.scan_table is None:
-            return None
-        table_name, column = target
-        if table_name.lower() in ctx.ctes:
-            return None
-        try:
-            table = ctx.catalog.table(table_name)
-        except Exception:
-            return None
-        if batch.length != table.row_count:
-            return None
-        try:
-            store = table.column_store(column)
-        except Exception:
-            return None
-        index = store.index("ordered")
-        if index is None or index.poisoned or index.covered != len(store.values):
-            return None
-        if store.null_count:
-            return None
-        order = index.ordered_positions()
-        if order is None or len(order) != batch.length:
-            return None
-        return order
 
     # -- per-call computation ---------------------------------------------- #
 

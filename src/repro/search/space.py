@@ -353,10 +353,7 @@ class SearchSpace:
                 # path would hit the rows cache on the second), but the
                 # engine's result cache makes the repeat nearly free and the
                 # counts are identical either way.
-                if hasattr(pool, "submit_profile"):
-                    counts = self._profile_via_tier(pool, [tree for _, tree, _ in missed])
-                else:
-                    counts = list(pool.map(run, [tree for _, tree, _ in missed]))
+                counts = list(pool.map(run, [tree for _, tree, _ in missed]))
             else:
                 counts = [run(tree) for _, tree, _ in missed]
             for (index, _tree, key), count in zip(missed, counts):
@@ -370,39 +367,6 @@ class SearchSpace:
                 cache_stats.misses + cache_stats.bypassed - executed_before
             )
         return tuple(row_counts)
-
-    def _profile_via_tier(self, tier, trees) -> list[int]:
-        """Profile trees through a process execution tier (duck-typed).
-
-        The picklable task descriptor is canonical SQL plus the snapshot the
-        tier keys by fingerprint: the frontend does the cheap AST work
-        (default-binding instantiation, SQL rendering) and ships only text;
-        the CPU-heavy execution runs GIL-free in a worker.  A tree whose
-        default binding cannot instantiate to executable SQL profiles as -1
-        without crossing the boundary — the same failure value the serial
-        path produces, so cached row counts are tier-independent.
-        """
-        from repro.difftree.instantiate import instantiate
-        from repro.sql.ast_nodes import Select, SetOperation
-        from repro.sql.printer import to_sql
-
-        counts = [-1] * len(trees)
-        sqls: list[str] = []
-        slots: list[int] = []
-        for position, tree in enumerate(trees):
-            try:
-                query = instantiate(tree)
-                if not isinstance(query, (Select, SetOperation)):
-                    continue
-                sqls.append(to_sql(query))
-            except Exception:  # noqa: BLE001 - odd instantiations must not kill search
-                continue
-            slots.append(position)
-        if sqls:
-            profiled = tier.submit_profile(self.catalog, sqls).result()
-            for position, count in zip(slots, profiled):
-                counts[position] = count
-        return counts
 
     def cache_info(self) -> dict:
         """Hit/size statistics of every per-tree cache (for benches/debugging)."""

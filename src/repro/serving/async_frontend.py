@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.engine.catalog import Catalog
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.table import QueryResult
 from repro.errors import AdmissionError
 from repro.pipeline import GenerationResult, PipelineConfig
@@ -145,18 +145,9 @@ class AsyncInterfaceService:
         self,
         handle: AsyncSession,
         query: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline_ms: float | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
     ) -> QueryResult:
-        resolved = coerce_options(
-            options,
-            "AsyncFrontend.execute",
-            use_cache=use_cache,
-            deadline_ms=deadline_ms,
-        )
-        future = self._service(handle).submit_execute(handle.session_id, query, resolved)
+        future = self._service(handle).submit_execute(handle.session_id, query, options)
         return await asyncio.wrap_future(future)
 
     async def generate(
@@ -226,8 +217,11 @@ class AsyncInterfaceService:
         if self._closed:
             return
         self._closed = True
-        for service in self._shards:
-            # Shards do not own the shared tier; shut it down once below.
+        # Reverse construction order: each shard restores the process-global
+        # executor fault hook it found at construction, so the hooks must
+        # unwind last-in, first-out.  Shards do not own the shared tier; it
+        # shuts down once below.
+        for service in reversed(self._shards):
             service.shutdown(wait=True)
         if self._tier is not None:
             self._tier.shutdown(wait=True)

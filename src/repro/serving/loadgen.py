@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import AdmissionError
+from repro.obs import percentile
 from repro.pipeline import PipelineConfig
 from repro.serving.service import InterfaceService
 
@@ -86,15 +87,10 @@ class LoadReport:
         """Latency percentile (seconds) of one op class (or all ops).
 
         Returns ``None`` when the class has no samples — a mixed workload
-        can legitimately roll zero ops of one class, and 0.0 would read as
-        "infinitely fast" to anything comparing latencies.
+        can legitimately roll zero ops of one class.
         """
         pool = self.ops if kind is None else self.of_kind(kind)
-        if not pool:
-            return None
-        ordered = sorted(op.seconds for op in pool)
-        index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[index]
+        return percentile((op.seconds for op in pool), fraction)
 
     def as_dict(self) -> dict:
         """Machine-readable summary (the shape ``BENCH_serving.json`` stores).

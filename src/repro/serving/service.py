@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine.catalog import Catalog
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.table import QueryResult
 from repro.errors import (
     AdmissionError,
@@ -52,6 +52,7 @@ from repro.errors import (
     SessionError,
     WorkerError,
 )
+from repro.obs import percentile
 from repro.pipeline import GenerationResult, PipelineConfig, generate_interface
 from repro.serving.faults import FaultPlan
 from repro.serving.session import Session
@@ -298,10 +299,7 @@ class InterfaceService:
         self,
         session_id: str,
         query: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline_ms: float | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
     ) -> "Future[QueryResult]":
         """Run one SQL query on the session's pinned snapshot.
 
@@ -311,24 +309,16 @@ class InterfaceService:
         worker has never seen this fingerprint) and blocks GIL-free on the
         pipe, so concurrent queries execute truly in parallel.
 
-        ``options`` carries the execution knobs (:class:`ExecOptions`); the
-        legacy ``use_cache=``/``deadline_ms=`` keywords still work but emit
-        a :class:`DeprecationWarning`.  A relative ``deadline_ms`` budget
-        (or, absent one, ``ServiceConfig.default_deadline_ms``) is resolved
-        to an absolute deadline at submission; past it the request resolves
-        to a typed error (:class:`~repro.errors.QueryTimeoutError` if
-        cancelled mid-execution,
+        ``options`` carries the execution knobs (:class:`ExecOptions`).  A
+        relative ``deadline_ms`` budget (or, absent one,
+        ``ServiceConfig.default_deadline_ms``) is resolved to an absolute
+        deadline at submission; past it the request resolves to a typed error
+        (:class:`~repro.errors.QueryTimeoutError` if cancelled mid-execution,
         :class:`~repro.errors.DeadlineExceededError` if dropped in a queue).
         """
-        resolved = coerce_options(
-            options,
-            "InterfaceService.submit_execute",
-            use_cache=use_cache,
-            deadline_ms=deadline_ms,
-        )
-        if resolved.deadline is None and resolved.deadline_ms is None:
-            resolved = resolved.replace(deadline=self._deadline_from(None))
-        resolved = resolved.pinned()
+        if options.deadline is None and options.deadline_ms is None:
+            options = options.replace(deadline=self._deadline_from(None))
+        resolved = options.pinned()
         session = self.session(session_id)
         runner = self._tier_runner()
         return self._submit(
@@ -408,18 +398,9 @@ class InterfaceService:
         self,
         session_id: str,
         query: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline_ms: float | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
     ) -> QueryResult:
-        resolved = coerce_options(
-            options,
-            "InterfaceService.execute",
-            use_cache=use_cache,
-            deadline_ms=deadline_ms,
-        )
-        return self.submit_execute(session_id, query, resolved).result()
+        return self.submit_execute(session_id, query, options).result()
 
     def submit_generate(
         self,
@@ -609,14 +590,12 @@ class InterfaceService:
                 "sessions_rejected": self.stats.sessions_rejected,
                 "execution_tier": self.config.execution_tier,
             }
-            waits = sorted(self._queue_waits)
+            waits = list(self._queue_waits)
         for name, fraction in (("p50", 0.50), ("p95", 0.95)):
-            key = f"frontend_queue_wait_{name}_ms"
-            if waits:
-                index = min(len(waits) - 1, max(0, round(fraction * (len(waits) - 1))))
-                data[key] = round(waits[index] * 1000, 3)
-            else:
-                data[key] = None
+            wait = percentile(waits, fraction)
+            data[f"frontend_queue_wait_{name}_ms"] = (
+                None if wait is None else round(wait * 1000, 3)
+            )
         tier = self._process_tier
         if tier is not None:
             tier_stats = tier.stats_snapshot()

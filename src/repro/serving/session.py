@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.catalog import Catalog, CatalogSnapshot
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.table import QueryResult
 from repro.errors import SessionError
 from repro.interface.state import EventRecord, InterfaceState
@@ -119,25 +119,19 @@ class Session:
     def execute(
         self,
         query: str,
-        options: ExecOptions | bool | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
         runner=None,
-        *,
-        use_cache: bool | None = None,
-        deadline: float | None = None,
     ) -> QueryResult:
         """Run one SQL query against the pinned snapshot.
 
-        ``options`` carries the execution knobs (:class:`ExecOptions`); the
-        legacy ``use_cache=``/``deadline=`` keywords still work but emit a
-        :class:`DeprecationWarning`.  ``runner`` overrides *where* the query
-        executes without changing what it reads: a ``(snapshot, query,
-        options) -> QueryResult`` callable (the process execution tier passes
-        one that ships the work to a worker process).  Isolation is unchanged
-        either way — the pinned snapshot is the single source of truth.
+        ``options`` carries the execution knobs (:class:`ExecOptions`).
+        ``runner`` overrides *where* the query executes without changing what
+        it reads: a ``(snapshot, query, options) -> QueryResult`` callable
+        (the process execution tier passes one that ships the work to a
+        worker process).  Isolation is unchanged either way — the pinned
+        snapshot is the single source of truth.
         """
-        resolved = coerce_options(
-            options, "Session.execute", use_cache=use_cache, deadline=deadline
-        ).pinned()
+        resolved = options.pinned()
         snapshot = self.snapshot
         started = time.perf_counter()
         try:

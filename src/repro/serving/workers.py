@@ -6,9 +6,7 @@ bytecode at a time.  :class:`ProcessExecutionTier` moves the two CPU-heavy
 operation classes into a pool of **worker processes**:
 
 * ad-hoc query execution (``Session.execute`` → canonical SQL + fingerprint),
-* interface generation / per-tree candidate profiling (query log + pipeline
-  config + fingerprint, or per-tree default-instantiation SQL + tree
-  signature + fingerprint).
+* interface generation (query log + pipeline config + fingerprint).
 
 The design leans entirely on PR 5's snapshot contract:
 :class:`~repro.engine.catalog.CatalogSnapshot` is immutable and
@@ -64,9 +62,10 @@ import multiprocessing
 
 from repro.difftree.signatures import SharedLruDict
 from repro.engine.catalog import COVERAGE_MEMO_CAPACITY, CatalogSnapshot, DetachedParser
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.query_cache import QueryCache
 from repro.errors import DeadlineExceededError, QueryTimeoutError, WorkerError
+from repro.obs import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.faults import FaultInjector
@@ -121,31 +120,15 @@ def _run_task(
     Kept as a plain function so the in-process tests can drive the exact
     code the workers run without spawning a subprocess.  ``deadline`` is an
     absolute ``time.monotonic()`` instant (comparable across processes on
-    the same host): execute/profile arm the executor's cooperative
-    cancellation checkpoints with it; generation — which has no internal
-    checkpoints — refuses to start past it.
+    the same host): execute arms the executor's cooperative cancellation
+    checkpoints with it; generation — which has no internal checkpoints —
+    refuses to start past it.
     """
     if kind == "execute":
         sql, options = body
-        if not isinstance(options, ExecOptions):
-            # Legacy transport body shape: (sql, use_cache flag).
-            options = ExecOptions(use_cache=bool(options))
         if options.deadline is None and deadline is not None:
             options = options.replace(deadline=deadline)
         return snapshot.execute(sql, options)
-    if kind == "profile":
-        sqls = body[0]
-        counts: list[int] = []
-        for sql in sqls:
-            try:
-                counts.append(snapshot.execute(sql, ExecOptions(deadline=deadline)).row_count)
-            except QueryTimeoutError:
-                # A timeout is the caller's deadline, not an odd
-                # instantiation — surface it instead of scoring -1.
-                raise
-            except Exception:  # noqa: BLE001 - odd instantiations must not kill search
-                counts.append(-1)
-        return counts
     if kind == "generate":
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceededError("Generation deadline elapsed before the task started")
@@ -530,7 +513,7 @@ class ProcessExecutionTier:
         # Placement policy, decided at submit time (see ``_place``):
         #
         # * Two worker classes keep latency classes apart — "light" tasks
-        #   (execute, profile: ~1 ms) run on a small reserved set, "heavy"
+        #   (execute: ~1 ms) run on a small reserved set, "heavy"
         #   ones (generate: tens of ms) on the rest — so read p95 never
         #   inherits generation latency by queueing behind it.
         # * Within a class, placement is *sticky*: a task prefers a worker
@@ -574,41 +557,17 @@ class ProcessExecutionTier:
         self,
         snapshot: CatalogSnapshot,
         sql: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline: float | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
     ) -> _Future:
         """Run one SQL query against the snapshot, on some worker process.
 
         ``options`` (an :class:`ExecOptions`) crosses the pipe with the task
-        body; the legacy ``use_cache=``/``deadline=`` keywords still work but
-        emit a :class:`DeprecationWarning`.  The deadline additionally rides
-        outside the body so the dispatch loop can drop queued tasks and cap
-        retry backoff without unpickling the options.
+        body.  The deadline additionally rides outside the body so the
+        dispatch loop can drop queued tasks and cap retry backoff without
+        unpickling the options.
         """
-        resolved = coerce_options(
-            options,
-            "ProcessExecutionTier.submit_execute",
-            use_cache=use_cache,
-            deadline=deadline,
-        ).pinned()
+        resolved = options.pinned()
         return self._submit("execute", snapshot, (sql, resolved), resolved.deadline)
-
-    def submit_profile(
-        self,
-        snapshot: CatalogSnapshot,
-        sqls: Sequence[str],
-        deadline: float | None = None,
-    ) -> _Future:
-        """Execute per-tree default-instantiation queries; resolves to row counts.
-
-        This is the picklable form of the search layer's per-tree profile
-        fan-out: the frontend instantiates each changed tree's default
-        binding to canonical SQL (cheap AST work) and ships only the SQL —
-        the CPU-heavy execution happens GIL-free in the worker.
-        """
-        return self._submit("profile", snapshot, (list(sqls),), deadline)
 
     def submit_generate(
         self,
@@ -632,7 +591,7 @@ class ProcessExecutionTier:
         self,
         snapshot: CatalogSnapshot,
         sql: str,
-        options: ExecOptions | bool | None = None,
+        options: ExecOptions = DEFAULT_OPTIONS,
     ):
         return self.submit_execute(snapshot, sql, options).result()
 
@@ -970,15 +929,12 @@ class ProcessExecutionTier:
     def queue_wait_percentiles(self) -> dict[str, float | None]:
         """p50/p95 dispatch queue wait in milliseconds (None when idle)."""
         with self._lock:
-            samples = sorted(self.stats.queue_waits)
-        if not samples:
-            return {"queue_wait_p50_ms": None, "queue_wait_p95_ms": None}
-
-        def pick(fraction: float) -> float:
-            index = min(len(samples) - 1, max(0, round(fraction * (len(samples) - 1))))
-            return round(samples[index] * 1000, 3)
-
-        return {"queue_wait_p50_ms": pick(0.50), "queue_wait_p95_ms": pick(0.95)}
+            samples = list(self.stats.queue_waits)
+        data: dict[str, float | None] = {}
+        for name, fraction in (("p50", 0.50), ("p95", 0.95)):
+            wait = percentile(samples, fraction)
+            data[f"queue_wait_{name}_ms"] = None if wait is None else round(wait * 1000, 3)
+        return data
 
     def stats_snapshot(self) -> dict[str, Any]:
         with self._lock:

@@ -25,6 +25,7 @@ from repro.engine.indexes import (
     OrderedIndex,
     build_index,
 )
+from repro.engine.options import ExecOptions
 from repro.engine.table import Table
 from repro.errors import CatalogError, EngineError
 
@@ -381,7 +382,9 @@ class TestSnapshotTransport:
         snapshot.attach_caches(
             plan_cache={}, query_cache=QueryCache(capacity=8), parse=DetachedParser()
         )
-        result = _run_task("execute", snapshot, ("SELECT val FROM t WHERE id = 250", True))
+        result = _run_task(
+            "execute", snapshot, ("SELECT val FROM t WHERE id = 250", ExecOptions())
+        )
         assert result.rows == [(500,)]
 
 
@@ -412,12 +415,12 @@ class TestAccessPathSelection:
         explain = catalog.explain(sql, physical=True)
         assert "IndexScan" in explain
         assert "Filter" in explain  # the name conjunct survives above
-        assert catalog.execute(sql).rows == catalog.execute(sql, optimize=False).rows
+        assert catalog.execute(sql).rows == catalog.execute(sql, ExecOptions(optimize=False)).rows
 
     def test_optimize_false_never_index_scans(self, catalog):
         explain = catalog.explain("SELECT val FROM t WHERE id = 7")
         assert "IndexScan" not in explain.split("== Optimizer")[0]
-        result = catalog.execute("SELECT val FROM t WHERE id = 7", optimize=False)
+        result = catalog.execute("SELECT val FROM t WHERE id = 7", ExecOptions(optimize=False))
         assert len(result.rows) == 1
 
     def test_no_index_no_index_scan(self, catalog):
@@ -454,19 +457,19 @@ class TestAccessPathSelection:
         catalog.create_index("t", "id", HASH)
         explain = catalog.explain(sql, physical=True)
         assert "IndexScan" in explain
-        assert catalog.execute(sql, use_cache=False).rows == [(7,)]
+        assert catalog.execute(sql, ExecOptions(use_cache=False)).rows == [(7,)]
 
     def test_poisoned_index_falls_back(self, catalog):
         catalog.table("t").column_index("id", HASH).poison()
         explain = catalog.explain("SELECT val FROM t WHERE id = 7", physical=True)
         assert "IndexScan" not in explain
-        assert catalog.execute("SELECT val FROM t WHERE id = 7", use_cache=False).rows
+        assert catalog.execute("SELECT val FROM t WHERE id = 7", ExecOptions(use_cache=False)).rows
 
     def test_stale_index_executor_fallback_matches(self, catalog):
         """An index whose coverage lags the column must not be probed."""
         store = catalog.table("t").column_store("id")
         store.values.append(9999)  # simulate drift: value bypassed append()
-        result = catalog.execute("SELECT id FROM t WHERE id = 9999", use_cache=False)
+        result = catalog.execute("SELECT id FROM t WHERE id = 9999", ExecOptions(use_cache=False))
         assert result.rows == [(9999,)]  # linear fallback still finds it
 
     def test_in_list_uses_hash_index(self, catalog):
@@ -486,18 +489,18 @@ class TestAccessPathSelection:
         explain = catalog.explain(sql, physical=True)
         assert "IndexScan" in explain
         on = catalog.execute(sql).rows
-        off = catalog.execute(sql, optimize=False).rows
+        off = catalog.execute(sql, ExecOptions(optimize=False)).rows
         assert on == off
 
     def test_flipped_literal_comparison(self, catalog):
         sql = "SELECT id FROM t WHERE 30 > val"
         on = catalog.execute(sql).rows
-        off = catalog.execute(sql, optimize=False).rows
+        off = catalog.execute(sql, ExecOptions(optimize=False)).rows
         assert on == off
         assert "IndexScan" in catalog.explain(sql, physical=True)
 
     def test_index_scan_preserves_row_order(self, catalog):
         sql = "SELECT id, val FROM t WHERE val < 40"
         on = catalog.execute(sql).rows
-        off = catalog.execute(sql, optimize=False).rows
+        off = catalog.execute(sql, ExecOptions(optimize=False)).rows
         assert on == off  # positional equality, not just bag equality

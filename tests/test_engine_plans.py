@@ -1,11 +1,12 @@
 """EXPLAIN-style snapshot tests for logical → physical plan lowering.
 
 These tests pin the operator pipeline the *lowerer* produces from a verbatim
-logical plan (``explain(..., optimize=False)``): hash joins with extracted
-equi-keys (and residual predicates), vectorized nested loops for non-equi
-conditions, hash aggregation with HAVING above it, CTE materialization,
-correlated-subquery filters and set operations.  Snapshots of the shapes the
-logical optimizer rewrites plans into live in ``test_optimizer_rules.py``.
+logical plan (``explain(..., options=ExecOptions(optimize=False))``): hash
+joins with extracted equi-keys (and residual predicates), vectorized nested
+loops for non-equi conditions, hash aggregation with HAVING above it, CTE
+materialization, correlated-subquery filters and set operations.  Snapshots
+of the shapes the logical optimizer rewrites plans into live in
+``test_optimizer_rules.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
+from repro.engine.options import ExecOptions
 from repro.engine.plan_nodes import (
     FilterExec,
     HashAggregateExec,
@@ -43,7 +45,7 @@ class TestJoinLowering:
             "SELECT s.product, r.manager FROM sales s "
             "JOIN regions r ON s.region = r.region AND s.amount > 10",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert plan == (
             "Project(s.product, r.manager)\n"
@@ -57,7 +59,7 @@ class TestJoinLowering:
             "SELECT s.product FROM sales s LEFT JOIN regions r "
             "ON upper(s.region) = upper(r.region)",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert "HashJoin(LEFT, keys=[upper(s.region) = upper(r.region)])" in plan
 
@@ -65,7 +67,7 @@ class TestJoinLowering:
         plan = catalog.explain(
             "SELECT s.product FROM sales s JOIN regions r ON s.amount > 10",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert "NestedLoopJoin(INNER, on=s.amount > 10)" in plan
 
@@ -81,7 +83,7 @@ class TestJoinLowering:
         plan = catalog.explain(
             "SELECT product FROM sales JOIN regions ON region = manager",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert "NestedLoopJoin" in plan
 
@@ -103,7 +105,7 @@ class TestAggregateLowering:
             "SELECT region, count(*) AS n FROM sales WHERE amount > 10 "
             "GROUP BY region HAVING count(*) >= 1 ORDER BY n DESC LIMIT 2",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert plan == (
             "Limit(limit=2, offset=None)\n"
@@ -149,7 +151,7 @@ class TestSubqueryAndCteLowering:
             "SELECT s.product FROM sales s WHERE s.amount >= "
             "(SELECT max(s2.amount) FROM sales s2 WHERE s2.region = s.region)",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert plan == (
             "Project(s.product)\n"
@@ -163,7 +165,7 @@ class TestSubqueryAndCteLowering:
             "WITH t AS (SELECT region, sum(amount) AS total FROM sales GROUP BY region) "
             "SELECT region FROM t WHERE total > 10",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert plan == (
             "MaterializeCtes(t)\n"
@@ -180,7 +182,7 @@ class TestSubqueryAndCteLowering:
             "SELECT big.product FROM (SELECT product, amount FROM sales "
             "WHERE amount > 90) AS big",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert plan == (
             "Project(big.product)\n"
@@ -196,7 +198,7 @@ class TestSetOperationLowering:
         plan = catalog.explain(
             "SELECT region FROM sales UNION SELECT region FROM regions",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert plan == (
             "SetOp(UNION)\n"
@@ -218,13 +220,13 @@ class TestSetOperationLowering:
 
 class TestCompiledPlanReuse:
     def test_plan_cache_reuses_compiled_plans(self, catalog):
-        catalog.execute("SELECT product FROM sales WHERE amount > 10", use_cache=False)
+        catalog.execute("SELECT product FROM sales WHERE amount > 10", ExecOptions(use_cache=False))
         entries = catalog.cache_stats()["plan_cache_entries"]
-        catalog.execute("SELECT product FROM sales WHERE amount > 10", use_cache=False)
+        catalog.execute("SELECT product FROM sales WHERE amount > 10", ExecOptions(use_cache=False))
         assert catalog.cache_stats()["plan_cache_entries"] == entries
 
     def test_plan_cache_cleared_on_schema_change(self, catalog):
-        catalog.execute("SELECT product FROM sales", use_cache=False)
+        catalog.execute("SELECT product FROM sales", ExecOptions(use_cache=False))
         assert catalog.cache_stats()["plan_cache_entries"] > 0
         catalog.create_table("extra", ["x"], [[1]])
         assert catalog.cache_stats()["plan_cache_entries"] == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.catalog import Catalog
+from repro.engine.options import ExecOptions
 from repro.engine.query_cache import QueryCache, cache_key
 from repro.engine.table import QueryResult
 from repro.sql.parser import parse
@@ -107,8 +108,8 @@ class TestCatalogCacheBehavior:
         assert catalog.cache_stats()["hits"] == 0
 
     def test_use_cache_false_bypasses_lookup_and_store(self, catalog):
-        catalog.execute("SELECT region FROM sales", use_cache=False)
-        catalog.execute("SELECT region FROM sales", use_cache=False)
+        catalog.execute("SELECT region FROM sales", ExecOptions(use_cache=False))
+        catalog.execute("SELECT region FROM sales", ExecOptions(use_cache=False))
         stats = catalog.cache_stats()
         assert stats["hits"] == 0 and stats["misses"] == 0 and stats["entries"] == 0
 
@@ -122,7 +123,7 @@ class TestCatalogCacheBehavior:
 
     def test_identical_results_across_cold_and_cached_paths(self, catalog):
         sql = "SELECT region, sum(amount) AS total FROM sales GROUP BY region ORDER BY total DESC"
-        cold = catalog.execute(sql, use_cache=False)
+        cold = catalog.execute(sql, ExecOptions(use_cache=False))
         warm_store = catalog.execute(sql)
         warm_hit = catalog.execute(sql)
         assert cold.rows == warm_store.rows == warm_hit.rows
@@ -246,14 +247,14 @@ class TestOptimizerCacheAgreement:
     The canonical cache key is computed from the *AST*, before planning, so
     optimization can never change which entry a query maps to; and cached
     entries always correspond to the default (optimized) compile path because
-    ``optimize=False`` executions bypass the cache entirely.
+    ``ExecOptions(optimize=False)`` executions bypass the cache entirely.
     """
 
     def test_unoptimized_execution_bypasses_result_cache(self, catalog):
         sql = "SELECT region FROM sales WHERE amount > 60"
         cached = catalog.execute(sql)  # stored by the optimized path
         before = catalog.cache_stats()
-        raw = catalog.execute(sql, optimize=False)
+        raw = catalog.execute(sql, ExecOptions(optimize=False))
         after = catalog.cache_stats()
         assert raw.rows == cached.rows
         assert after["bypassed"] == before["bypassed"] + 1
@@ -269,7 +270,7 @@ class TestOptimizerCacheAgreement:
         catalog.table("sales").append(["south", "kiwi", 99])
         second = catalog.execute(sql)
         assert ("south",) in second.rows and ("south",) not in first.rows
-        unoptimized = catalog.execute(sql, use_cache=False, optimize=False)
+        unoptimized = catalog.execute(sql, ExecOptions(use_cache=False, optimize=False))
         assert sorted(second.rows) == sorted(unoptimized.rows)
 
     def test_hit_rate_survives_the_optimizing_compile_step(self, catalog):
@@ -284,14 +285,14 @@ class TestOptimizerCacheAgreement:
 
     def test_plan_cache_keys_optimized_and_verbatim_plans_separately(self, catalog):
         sql = "SELECT product FROM sales WHERE amount > 60"
-        catalog.execute(sql, use_cache=False)
+        catalog.execute(sql, ExecOptions(use_cache=False))
         optimized_entries = catalog.cache_stats()["plan_cache_entries"]
-        catalog.execute(sql, use_cache=False, optimize=False)
+        catalog.execute(sql, ExecOptions(use_cache=False, optimize=False))
         both_entries = catalog.cache_stats()["plan_cache_entries"]
         assert both_entries == optimized_entries + 1
         # Re-running either mode reuses its own compiled plan.
-        catalog.execute(sql, use_cache=False)
-        catalog.execute(sql, use_cache=False, optimize=False)
+        catalog.execute(sql, ExecOptions(use_cache=False))
+        catalog.execute(sql, ExecOptions(use_cache=False, optimize=False))
         assert catalog.cache_stats()["plan_cache_entries"] == both_entries
         flags = {key[2] for key in catalog._plan_cache}
         assert flags == {True, False}
@@ -302,6 +303,6 @@ class TestOptimizerCacheAgreement:
             "WHERE s.amount > 40 AND s.region <> 'north'"
         )
         cached_twice = [catalog.execute(sql).rows, catalog.execute(sql).rows]
-        verbatim = catalog.execute(sql, use_cache=False, optimize=False).rows
+        verbatim = catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert cached_twice[0] == cached_twice[1]
         assert sorted(cached_twice[0]) == sorted(verbatim)

@@ -2,8 +2,8 @@
 
 Partition edge cases, NULL-ordering parity with sqlite, frame defaults,
 lag/lead beyond partition bounds, shared-spec sorting, placement rules, and
-the ordered-index sort-elision lever — the unit-level complement to the
-seeded window differential fuzz in ``test_differential_sqlite.py``.
+ordered indexes on the window's order column — the unit-level complement to
+the seeded window differential fuzz in ``test_differential_sqlite.py``.
 """
 
 from __future__ import annotations
@@ -194,7 +194,8 @@ class TestSharedSpecAndIndexElision:
         catalog = _catalog_with("t", columns, rows)
         assert _rows(catalog, sql) == _sqlite_rows(columns, rows, sql)
 
-    def test_ordered_index_elides_window_sort(self):
+    def test_ordered_index_leaves_window_rows_unchanged(self):
+        """Every window spec sorts; an ordered index is no access decision."""
         columns = ["id", "ts", "qty"]
         rows = [(i, (i * 131) % 997, i % 7 + 1) for i in range(200)]
         sql = "SELECT id, sum(qty) OVER (ORDER BY ts) AS running FROM t ORDER BY id"
@@ -204,14 +205,10 @@ class TestSharedSpecAndIndexElision:
         indexed.create_index("t", "ts", "ordered")
 
         assert _rows(indexed, sql) == _rows(plain, sql)
-        report = indexed.explain(sql, physical=True)
-        assert any(
-            decision.get("decision") == "window_sort_elision"
-            for decision in report.access_paths
-        ), f"expected a window_sort_elision access decision, got {report.access_paths}"
+        assert indexed.explain(sql, physical=True).access_paths == ()
 
     def test_elided_plan_survives_appends(self):
-        """The runtime re-check must fall back to sorting after new rows."""
+        """Rows appended behind an ordered index reach the window sort."""
         columns = ["id", "ts", "qty"]
         rows = [(i, (i * 17) % 101, 1) for i in range(50)]
         sql = "SELECT id, sum(qty) OVER (ORDER BY ts) AS running FROM t ORDER BY id"

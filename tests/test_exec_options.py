@@ -1,29 +1,26 @@
-"""The unified ExecOptions API: coercion, compat shims, ExplainReport,
-package exports, and the no-deprecated-callers lint.
+"""The unified ExecOptions API: entry points, ExplainReport, package exports.
 
-Covers the redesign contract end to end: one frozen options object accepted
-by every execute entry point (catalog, snapshot, session, service, process
-tier), legacy keywords still working behind a DeprecationWarning with
-identical behaviour, ``explain()`` returning structured data whose text is
-byte-identical to the classic rendering, and a source lint asserting no
-in-repo caller still uses the deprecated keyword form.
+Covers the contract end to end: one frozen options object accepted by every
+execute entry point (catalog, snapshot, session, service, process tier,
+async frontend), the removed per-call keywords rejected outright, and
+``explain()`` returning structured data whose text is byte-identical to the
+classic rendering.
 """
 
 from __future__ import annotations
 
 import pickle
-import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import Catalog, CatalogSnapshot
 from repro.engine.explain import ExplainReport
-from repro.engine.options import DEFAULT_OPTIONS, ExecOptions, coerce_options
+from repro.engine.options import ExecOptions
+from repro.serving import AsyncInterfaceService, InterfaceService, ProcessExecutionTier, Session
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -65,33 +62,6 @@ class TestExecOptions:
         assert options.resolved_deadline() == 99.0
 
 
-class TestCoercion:
-    def test_exec_options_passes_through_unchanged(self):
-        options = ExecOptions(use_cache=False)
-        assert coerce_options(options, "here") is options
-
-    def test_none_yields_defaults(self):
-        assert coerce_options(None, "here") is DEFAULT_OPTIONS
-
-    def test_legacy_keywords_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="use_cache"):
-            options = coerce_options(None, "here", use_cache=False, optimize=None)
-        assert options == ExecOptions(use_cache=False)
-
-    def test_bare_bool_is_legacy_positional_use_cache(self):
-        with pytest.warns(DeprecationWarning):
-            options = coerce_options(False, "here")
-        assert options.use_cache is False
-
-    def test_mixing_options_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="ExecOptions"):
-            coerce_options(ExecOptions(), "here", use_cache=False)
-
-    def test_non_options_object_raises(self):
-        with pytest.raises(TypeError):
-            coerce_options("nope", "here")  # type: ignore[arg-type]
-
-
 class TestEntryPoints:
     SQL = "SELECT kind, count(*) AS n FROM items GROUP BY kind"
 
@@ -99,22 +69,12 @@ class TestEntryPoints:
         result = catalog.execute(self.SQL, ExecOptions(use_cache=False))
         assert result.row_count == 2
 
-    def test_legacy_kwargs_warn_but_behave_identically(self, catalog):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = catalog.execute(self.SQL, ExecOptions(use_cache=False))
-        with pytest.warns(DeprecationWarning):
-            legacy = catalog.execute(self.SQL, use_cache=False)
-        assert modern.rows == legacy.rows
-
     def test_snapshot_execute_accepts_options(self, catalog):
         snapshot = catalog.snapshot()
         result = snapshot.execute(self.SQL, ExecOptions(use_cache=False))
         assert result.row_count == 2
 
     def test_session_and_service_thread_tier(self, catalog):
-        from repro.serving import InterfaceService
-
         with InterfaceService(catalog) as service:
             session = service.create_session("opts")
             result = service.execute(
@@ -123,7 +83,7 @@ class TestEntryPoints:
             assert result.row_count == 2
 
     def test_service_process_tier_end_to_end(self, catalog):
-        from repro.serving import InterfaceService, ServiceConfig
+        from repro.serving import ServiceConfig
 
         config = ServiceConfig(execution_tier="process", worker_processes=1)
         with InterfaceService(catalog, config) as service:
@@ -186,26 +146,28 @@ class TestPackageSurface:
         assert proc.returncode == 0, proc.stderr
 
 
-#: Call sites of the execute/explain family passing legacy keywords.  The
-#: options shim itself and ``def`` lines are exempt; ExecOptions constructor
-#: keywords don't match because the call must be a method on an object.
-_DEPRECATED_CALL = re.compile(
-    r"[\w\)\]]\.(execute|submit_execute|explain)\([^)\n]*"
-    r"(use_cache=|optimize=|deadline=|deadline_ms=)"
-)
+#: Every execute/explain entry point with the per-call keywords it rejects:
+#: ExecOptions is the only way to pass an execution knob.
+REMOVED_KEYWORDS = {
+    Catalog.execute: ("use_cache", "optimize", "deadline"),
+    Catalog.explain: ("optimize",),
+    CatalogSnapshot.execute: ("use_cache", "optimize", "deadline"),
+    Session.execute: ("use_cache", "deadline"),
+    InterfaceService.submit_execute: ("use_cache", "deadline_ms"),
+    InterfaceService.execute: ("use_cache", "deadline_ms"),
+    ProcessExecutionTier.submit_execute: ("use_cache", "deadline"),
+    AsyncInterfaceService.execute: ("use_cache", "deadline_ms"),
+}
 
 
-class TestNoDeprecatedCallers:
-    def test_src_and_benchmarks_use_exec_options(self):
-        offenders: list[str] = []
-        for root in (SRC_DIR / "repro", REPO_ROOT / "benchmarks"):
-            for path in sorted(root.rglob("*.py")):
-                for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                    if "ExecOptions(" in line:
-                        continue
-                    if _DEPRECATED_CALL.search(line):
-                        offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {line.strip()}")
-        assert not offenders, (
-            "deprecated execute/explain keyword call sites (pass ExecOptions instead):\n"
-            + "\n".join(offenders)
-        )
+class TestRemovedKeywords:
+    @pytest.mark.parametrize(
+        ("entry_point", "keyword"),
+        [(entry, keyword) for entry, keywords in REMOVED_KEYWORDS.items() for keyword in keywords],
+        ids=lambda value: getattr(value, "__qualname__", value),
+    )
+    def test_entry_point_rejects_removed_keyword(self, entry_point, keyword):
+        # Argument binding fails before the body runs, so placeholder
+        # positionals stand in for the receiver and its arguments.
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            entry_point(None, None, None, **{keyword: False})

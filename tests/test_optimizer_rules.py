@@ -15,6 +15,7 @@ import pytest
 
 from repro.engine.catalog import Catalog
 from repro.engine.optimizer import optimize_plan
+from repro.engine.options import ExecOptions
 from repro.engine.planner import Planner
 from repro.sql.parser import parse
 
@@ -85,10 +86,10 @@ class TestConstantFolding:
 
     def test_folding_and_execution_agree(self, catalog):
         sql = "SELECT region FROM sales WHERE 1 = 2 AND amount > 10"
-        assert catalog.execute(sql, use_cache=False).rows == []
+        assert catalog.execute(sql, ExecOptions(use_cache=False)).rows == []
         sql = "SELECT region FROM sales WHERE abs(-2) = 2 AND amount >= 100"
-        on = catalog.execute(sql, use_cache=False).rows
-        off = catalog.execute(sql, use_cache=False, optimize=False).rows
+        on = catalog.execute(sql, ExecOptions(use_cache=False)).rows
+        off = catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert on == off == [("east",)]
 
     def test_erroring_constant_is_left_alone(self, catalog):
@@ -255,8 +256,8 @@ class TestPredicatePushdown:
             "WHERE s.region = r.region AND s.amount >= 50",
         ]
         for sql in queries:
-            on = catalog.execute(sql, use_cache=False).rows
-            off = catalog.execute(sql, use_cache=False, optimize=False).rows
+            on = catalog.execute(sql, ExecOptions(use_cache=False)).rows
+            off = catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
             assert sorted(on) == sorted(off), sql
 
 
@@ -316,8 +317,8 @@ class TestJoinReorder:
             "SELECT b.payload, s.tag FROM big b, mid m, small s "
             "WHERE b.k = m.k AND m.j = s.j"
         )
-        on = sized_catalog.execute(sql, use_cache=False).rows
-        off = sized_catalog.execute(sql, use_cache=False, optimize=False).rows
+        on = sized_catalog.execute(sql, ExecOptions(use_cache=False)).rows
+        off = sized_catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert sorted(on) == sorted(off)
         assert len(on) > 0
 
@@ -355,7 +356,7 @@ class TestProjectionPruning:
     def test_count_star_does_not_demand_any_column(self, catalog):
         optimized, _ = rewrite(catalog, "SELECT count(*) FROM sales")
         assert "Scan(sales, cols=[])" in optimized.pretty()
-        result = catalog.execute("SELECT count(*) FROM sales", use_cache=False)
+        result = catalog.execute("SELECT count(*) FROM sales", ExecOptions(use_cache=False))
         assert result.rows == [(4,)]
 
     def test_correlated_subquery_columns_survive_pruning(self, catalog):
@@ -367,8 +368,8 @@ class TestProjectionPruning:
         # s.region is referenced only inside the correlated subquery; the scan
         # must still materialize it.
         assert "Scan(sales AS s, cols=[region, product])" in optimized.pretty()
-        on = catalog.execute(sql, use_cache=False).rows
-        off = catalog.execute(sql, use_cache=False, optimize=False).rows
+        on = catalog.execute(sql, ExecOptions(use_cache=False)).rows
+        off = catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert sorted(on) == sorted(off)
 
     def test_cte_scans_are_not_pruned(self, catalog):
@@ -422,8 +423,8 @@ class TestShortCircuitLegality:
             "SELECT m.id FROM mix m JOIN kinds k ON m.kind = k.kind "
             "WHERE m.kind = 'num' AND m.val > 10"
         )
-        on = mixed_catalog.execute(sql, use_cache=False).rows
-        off = mixed_catalog.execute(sql, use_cache=False, optimize=False).rows
+        on = mixed_catalog.execute(sql, ExecOptions(use_cache=False)).rows
+        off = mixed_catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert on == off == [(1,)]
 
     def test_case_guard_fallback_matches_unoptimized(self, mixed_catalog):
@@ -431,16 +432,16 @@ class TestShortCircuitLegality:
             "SELECT m.id FROM mix m JOIN kinds k ON m.kind = k.kind "
             "WHERE CASE WHEN m.kind = 'num' THEN m.val > 10 ELSE m.id > 3 END"
         )
-        on = mixed_catalog.execute(sql, use_cache=False).rows
-        off = mixed_catalog.execute(sql, use_cache=False, optimize=False).rows
+        on = mixed_catalog.execute(sql, ExecOptions(use_cache=False)).rows
+        off = mixed_catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert on == off == [(1,), (4,)]
 
     def test_or_guard_fallback_matches_unoptimized(self, mixed_catalog):
         sql = (
             "SELECT m.id FROM mix m WHERE m.kind = 'word' OR m.val > 10"
         )
-        on = mixed_catalog.execute(sql, use_cache=False).rows
-        off = mixed_catalog.execute(sql, use_cache=False, optimize=False).rows
+        on = mixed_catalog.execute(sql, ExecOptions(use_cache=False)).rows
+        off = mixed_catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert on == off == [(1,), (3,), (4,)]
 
     def test_cached_plan_is_recompiled_after_row_mutation(self):
@@ -452,10 +453,10 @@ class TestShortCircuitLegality:
         cat.create_table("t", ["x", "y"], [[1, 1], [2, 2]])
         cat.create_table("u", ["k"], [[1]])
         sql = "SELECT t.x FROM t JOIN u ON t.y = u.k WHERE u.k = 99 AND t.x < 5"
-        assert cat.execute(sql, use_cache=False).rows == []
+        assert cat.execute(sql, ExecOptions(use_cache=False)).rows == []
         cat.table("t").append(["oops", 3])
-        on = cat.execute(sql, use_cache=False).rows
-        off = cat.execute(sql, use_cache=False, optimize=False).rows
+        on = cat.execute(sql, ExecOptions(use_cache=False)).rows
+        off = cat.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert on == off == []
 
     def test_boolean_arithmetic_is_not_proven_textual(self):
@@ -466,8 +467,8 @@ class TestShortCircuitLegality:
         cat.create_table("t", ["b", "y"], [[True, 1], [False, 2]])
         cat.create_table("u", ["k"], [[1]])
         sql = "SELECT t.y FROM t JOIN u ON t.y = u.k WHERE u.k = 99 AND (t.b + 1) < 'zz'"
-        on = cat.execute(sql, use_cache=False).rows
-        off = cat.execute(sql, use_cache=False, optimize=False).rows
+        on = cat.execute(sql, ExecOptions(use_cache=False)).rows
+        off = cat.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert on == off == []
 
     def test_correlated_scalar_subquery_matches_unoptimized(self, catalog):
@@ -475,8 +476,8 @@ class TestShortCircuitLegality:
             "SELECT s.product FROM sales s WHERE s.amount >= "
             "(SELECT max(s2.amount) FROM sales s2 WHERE s2.region = s.region)"
         )
-        on = catalog.execute(sql, use_cache=False).rows
-        off = catalog.execute(sql, use_cache=False, optimize=False).rows
+        on = catalog.execute(sql, ExecOptions(use_cache=False)).rows
+        off = catalog.execute(sql, ExecOptions(use_cache=False, optimize=False)).rows
         assert sorted(on) == sorted(off)
         assert ("apple",) in on
 
@@ -518,7 +519,7 @@ class TestExplainRendering:
         text = catalog.explain(
             "SELECT product FROM sales WHERE amount > 60",
             physical=True,
-            optimize=False,
+            options=ExecOptions(optimize=False),
         )
         assert "== " not in text
         assert text.startswith("Project(product)")

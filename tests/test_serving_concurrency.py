@@ -27,6 +27,7 @@ import pytest
 
 from repro.datasets import covid_query_log, load_covid_catalog
 from repro.engine.catalog import Catalog
+from repro.engine.options import ExecOptions
 from repro.errors import AdmissionError, EngineError, SessionError
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.serving import (
@@ -102,7 +103,7 @@ class TestSnapshotIsolationStorm:
             barrier.wait()
             last_count = 0
             for _ in range(self.ROUNDS):
-                result = catalog.execute("SELECT a, b FROM ledger", use_cache=False)
+                result = catalog.execute("SELECT a, b FROM ledger", ExecOptions(use_cache=False))
                 rows = result.rows
                 # Tear check 1: the invariant holds on every observed row.
                 assert all(b == 2 * a for a, b in rows)
@@ -115,7 +116,7 @@ class TestSnapshotIsolationStorm:
 
         errors = run_threads([writer] * self.WRITERS + [reader] * self.READERS)
         assert errors == []
-        final = catalog.execute("SELECT count(*) FROM ledger", use_cache=False)
+        final = catalog.execute("SELECT count(*) FROM ledger", ExecOptions(use_cache=False))
         assert final.rows[0][0] == (3 + self.WRITERS * self.ROUNDS) * BATCH
 
     def test_pinned_snapshot_is_repeatable_while_writers_proceed(self):
@@ -138,7 +139,7 @@ class TestSnapshotIsolationStorm:
 
         assert run_threads([writer, pinned_reader]) == []
         # The live catalog moved on; the snapshot still reads its version.
-        live = catalog.execute("SELECT count(*) FROM ledger", use_cache=False).rows[0][0]
+        live = catalog.execute("SELECT count(*) FROM ledger", ExecOptions(use_cache=False)).rows[0][0]
         assert live == before + 20 * BATCH
         assert snapshot.execute("SELECT count(*) FROM ledger").rows[0][0] == before
 
@@ -180,7 +181,7 @@ class TestCacheConsistencyUnderIngest:
         assert errors == []
         # After the storm the cache must agree with a fresh execution.
         cached = catalog.execute("SELECT count(*) AS c FROM ledger")
-        fresh = catalog.execute("SELECT count(*) AS c FROM ledger", use_cache=False)
+        fresh = catalog.execute("SELECT count(*) AS c FROM ledger", ExecOptions(use_cache=False))
         assert cached.rows == fresh.rows
 
     def test_verbatim_plans_do_not_cross_schema_versions(self):
@@ -193,11 +194,11 @@ class TestCacheConsistencyUnderIngest:
         # Writer swaps the schema: same table name, different columns.
         catalog.create_table("t1", ["c", "e"], [[7, 70]], replace=True)
         # The pinned snapshot compiles (and caches) an old-schema verbatim plan.
-        assert pinned.execute("SELECT a FROM t1", optimize=False).rows == [(1,), (2,)]
+        assert pinned.execute("SELECT a FROM t1", ExecOptions(optimize=False)).rows == [(1,), (2,)]
         # A new-schema reader with the same SQL shape must recompile, not hit it.
-        assert catalog.execute("SELECT c FROM t1", optimize=False).rows == [(7,)]
+        assert catalog.execute("SELECT c FROM t1", ExecOptions(optimize=False)).rows == [(7,)]
         with pytest.raises(Exception):
-            catalog.execute("SELECT a FROM t1", optimize=False)
+            catalog.execute("SELECT a FROM t1", ExecOptions(optimize=False))
 
     def test_store_is_keyed_by_the_pinned_version_not_the_current_one(self):
         """Regression for the version-read/cache-probe race.

@@ -38,6 +38,7 @@ import time
 import pytest
 
 from repro.datasets import covid_query_log, load_covid_catalog
+from repro.engine.options import ExecOptions
 from repro.errors import (
     AdmissionError,
     DeadlineExceededError,
@@ -47,6 +48,7 @@ from repro.errors import (
 )
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.serving import (
+    AsyncInterfaceService,
     CircuitBreaker,
     FaultPlan,
     InjectedFault,
@@ -144,22 +146,24 @@ class TestDeadlines:
         catalog = load_covid_catalog()
         with pytest.raises(QueryTimeoutError):
             catalog.execute(
-                covid_query_log()[0], use_cache=False, deadline=time.monotonic() - 0.001
+                covid_query_log()[0],
+                ExecOptions(use_cache=False, deadline=time.monotonic() - 0.001),
             )
 
     def test_timed_out_query_never_poisons_the_result_cache(self):
         catalog = load_covid_catalog()
         query = covid_query_log()[0]
         with pytest.raises(QueryTimeoutError):
-            catalog.execute(query, deadline=time.monotonic() - 0.001)
+            catalog.execute(query, ExecOptions(deadline=time.monotonic() - 0.001))
         # The same query with room to run must compute fresh and succeed.
-        assert catalog.execute(query, deadline=time.monotonic() + 60).row_count >= 0
+        fresh = catalog.execute(query, ExecOptions(deadline=time.monotonic() + 60))
+        assert fresh.row_count >= 0
 
     def test_expired_queued_task_is_dropped_typed(self):
         snapshot = load_covid_catalog().snapshot()
         with ProcessExecutionTier(processes=1) as tier:
             future = tier.submit_execute(
-                snapshot, covid_query_log()[0], deadline=time.monotonic() - 1.0
+                snapshot, covid_query_log()[0], ExecOptions(deadline=time.monotonic() - 1.0)
             )
             with pytest.raises(DeadlineExceededError):
                 future.result(timeout=60)
@@ -187,8 +191,7 @@ class TestDeadlines:
             future = tier.submit_execute(
                 snapshot,
                 covid_query_log()[1],
-                use_cache=False,
-                deadline=time.monotonic() + 0.0005,
+                ExecOptions(use_cache=False, deadline=time.monotonic() + 0.0005),
             )
             with pytest.raises((QueryTimeoutError, DeadlineExceededError)):
                 future.result(timeout=120)
@@ -265,12 +268,12 @@ class TestExecutorInjection:
             session = service.create_session("chaos")
             query = covid_query_log()[0]
             # Ordinal 1: clean.
-            first = service.execute(session.session_id, query, use_cache=False)
+            first = service.execute(session.session_id, query, ExecOptions(use_cache=False))
             # Ordinal 2: the planned fault, raised from inside the executor.
             with pytest.raises(InjectedFault):
-                service.execute(session.session_id, query, use_cache=False)
+                service.execute(session.session_id, query, ExecOptions(use_cache=False))
             # Ordinal 3: clean again — the plane is surgical, not sticky.
-            third = service.execute(session.session_id, query, use_cache=False)
+            third = service.execute(session.session_id, query, ExecOptions(use_cache=False))
             assert third.rows == first.rows
             assert service.fault_injector.counters()["executor_raises"] == 1
 
@@ -278,12 +281,25 @@ class TestExecutorInjection:
         from repro.engine import executor as executor_module
 
         plan = FaultPlan(executor_raise_at=frozenset({1}))
-        service = InterfaceService(
-            load_covid_catalog(), ServiceConfig(max_workers=1, fault_plan=plan)
-        )
-        assert executor_module._fault_hook is not None
-        service.shutdown()
-        assert executor_module._fault_hook is None
+
+        def single_service():
+            return InterfaceService(
+                load_covid_catalog(), ServiceConfig(max_workers=1, fault_plan=plan)
+            ).shutdown
+
+        def two_shard_frontend():
+            # Every shard installs the hook over its predecessor's, so closing
+            # must unwind them last-in, first-out.
+            return AsyncInterfaceService(
+                [load_covid_catalog(), load_covid_catalog()],
+                ServiceConfig(shards=2, max_workers=1, fault_plan=plan),
+            ).close_sync
+
+        for build in (single_service, two_shard_frontend):
+            close = build()
+            assert executor_module._fault_hook is not None, build.__name__
+            close()
+            assert executor_module._fault_hook is None, build.__name__
 
 
 class TestGracefulDegradation:
@@ -300,7 +316,7 @@ class TestGracefulDegradation:
         with InterfaceService(load_covid_catalog(), config) as service:
             tier = service.process_tier
             session = service.create_session("degraded")
-            baseline = service.execute(session.session_id, query, use_cache=False)
+            baseline = service.execute(session.session_id, query, ExecOptions(use_cache=False))
 
             # Trip the breaker the way real worker deaths would feed it.
             assert tier.breaker.record_failure() is False
@@ -308,7 +324,7 @@ class TestGracefulDegradation:
             assert tier.breaker.state() == "open"
 
             # Open: requests are served in-frontend — correct, degraded.
-            degraded = service.execute(session.session_id, query, use_cache=False)
+            degraded = service.execute(session.session_id, query, ExecOptions(use_cache=False))
             assert degraded.rows == baseline.rows
             stats = service.stats_snapshot()
             assert stats["degraded"] >= 1
@@ -318,7 +334,7 @@ class TestGracefulDegradation:
             # After the cooldown the next request carries the probe; its
             # success closes the breaker and normal dispatch resumes.
             time.sleep(0.35)
-            recovered = service.execute(session.session_id, query, use_cache=False)
+            recovered = service.execute(session.session_id, query, ExecOptions(use_cache=False))
             assert recovered.rows == baseline.rows
             assert tier.breaker.state() == "closed"
 
@@ -427,7 +443,9 @@ class TestChaosStorm:
                     if roll < 0.80:
                         query = rng.choice(read_queries)
                         result = service.execute(
-                            session.session_id, query, use_cache=(sequence % 2 == 0)
+                            session.session_id,
+                            query,
+                            ExecOptions(use_cache=sequence % 2 == 0),
                         )
                         if result.rows != baseline_rows[query]:
                             with lock:

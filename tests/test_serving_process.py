@@ -36,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import covid_query_log, load_covid_catalog
+from repro.engine.options import ExecOptions
 from repro.errors import AdmissionError, WorkerError
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.serving import (
@@ -274,7 +275,7 @@ class TestTierRobustness:
         queries = covid_query_log()[:4]
         tier = ProcessExecutionTier(processes=2)
         futures = [
-            tier.submit_execute(snapshot, queries[i % len(queries)], use_cache=False)
+            tier.submit_execute(snapshot, queries[i % len(queries)], ExecOptions(use_cache=False))
             for i in range(12)
         ]
         finished = threading.Event()
@@ -308,9 +309,9 @@ class TestTierRobustness:
                 # to — killing it guarantees each round exercises the
                 # die → respawn → retry path rather than dodging it.
                 tier._handles[0].process.kill()
-                result = tier.submit_execute(snapshot, query, use_cache=False).result(
-                    timeout=120
-                )
+                result = tier.submit_execute(
+                    snapshot, query, ExecOptions(use_cache=False)
+                ).result(timeout=120)
                 assert result.rows == baseline
             stats = tier.stats_snapshot()
             assert stats["workers_respawned"] >= 5
