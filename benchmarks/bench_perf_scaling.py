@@ -1,19 +1,45 @@
 """Perf P1 — end-to-end generation latency vs number of input queries.
 
 The demo must generate interfaces at interactive speed while the analyst
-works.  This bench sweeps the query-log length on the COVID scenario (1 to 6
-queries) and on a synthetic widening sweep, reporting generation latency and
-candidates evaluated per log size.
+works.  This bench sweeps the query-log length on the COVID scenario (1 to 7
+queries), reporting generation latency and candidates evaluated per log size,
+and gates the paper's own workload: generations per second over the growing
+prefixes of the covid V3, sdss-extended and sp500 logs, per search method,
+
+* **cold** — the prefixes regenerated in order on a fresh catalog (every
+  catalog cache empty), the way a new notebook session starts;
+* **warm** — the same prefixes again on that catalog, the way PI2
+  regenerates after every query the analyst adds.
+
+Each rate divides the generations of sweeps repeated for at least
+``MIN_TIMED_SECONDS`` by their total time (a cold sweep gets a fresh catalog
+every time, outside the timed region).
+
+Set ``BENCH_GENERATE_JSON=/path/to/BENCH_generate.json`` to write the gated
+``generate_*_per_sec`` keys; CI compares them against
+``benchmarks/baselines/BENCH_generate.json``.
 """
 
 from __future__ import annotations
 
+import gc
+import json
+import os
 import time
 
-from conftest import print_table
+from conftest import calibration_ops_per_sec, print_table
 
+from repro.datasets import sdss_extended_query_log, sp500_query_log
+from repro.engine.catalog import Catalog
 from repro.interface import LARGE_SCREEN
 from repro.pipeline import PipelineConfig, generate_interface
+
+METHODS = ("mcts", "greedy", "beam")
+#: Each rate is the best of this many rounds (discards scheduler hiccups).
+REPEATS = 5
+#: A round repeats its sweep until the sweeps have run this long, so that no
+#: gated rate times an interval short enough for scheduler noise to dominate.
+MIN_TIMED_SECONDS = 0.1
 
 
 def sweep_log_sizes(covid_catalog, covid_v3_log):
@@ -68,9 +94,7 @@ def test_perf_scaling_with_log_size(benchmark, covid_catalog, covid_v3_log):
         rows,
     )
 
-    # Latency stays interactive (well under a minute even for the full log)...
-    assert all(elapsed < 30.0 for _size, elapsed, _result in measurements)
-    # ...and the interface grows monotonically richer as queries are added.
+    # The interface grows monotonically richer as queries are added.
     components = [
         result.interface.component_count() for _size, _elapsed, result in measurements
     ]
@@ -89,3 +113,102 @@ def test_perf_single_generation(benchmark, covid_catalog, covid_log):
         )
     )
     assert result.interface.visualization_count >= 1
+
+
+def fresh_catalog(base: Catalog) -> Catalog:
+    """A new catalog (every cache empty) over the same immutable tables."""
+    catalog = Catalog()
+    for name in base.table_names():
+        catalog.register(base.table(name))
+    return catalog
+
+
+def prefix_sweep(catalog, log, method) -> tuple[float, int]:
+    """(seconds, evaluations) to regenerate every prefix of ``log`` in order."""
+    evaluations = 0
+    started = time.perf_counter()
+    for length in range(2, len(log) + 1):
+        result = generate_interface(log[:length], catalog, PipelineConfig(method=method, seed=length))
+        evaluations += result.stats.evaluations
+    return time.perf_counter() - started, evaluations
+
+
+def sweep_rate(next_catalog, log, method) -> tuple[float, int, Catalog]:
+    """(generations/s, evaluations per sweep, last catalog) of repeated sweeps.
+
+    Sweeps repeat until they have run ``MIN_TIMED_SECONDS`` in total; each
+    runs on a catalog from ``next_catalog()``, which is not timed.
+    """
+    seconds, sweeps, evaluations = 0.0, 0, set()
+    while seconds < MIN_TIMED_SECONDS:
+        catalog = next_catalog()
+        elapsed, evaluated = prefix_sweep(catalog, log, method)
+        seconds += elapsed
+        sweeps += 1
+        evaluations.add(evaluated)
+    (evaluated,) = evaluations  # the caches a sweep starts with never change its search
+    return sweeps * (len(log) - 1) / seconds, evaluated, catalog
+
+
+def measure_generation_rates(logs) -> tuple[dict[str, float], float]:
+    """(metrics, machine-speed calibration) of the cold and warm sweeps.
+
+    Each rate is the best of ``REPEATS`` rounds.  The rounds go round-robin
+    over every (log, method), so a slow spell of a shared host cannot hold
+    all of one key's samples, and the calibration is the best of one sample
+    taken before every (log, method) of every round: both sides of the
+    gate's normalization come from the same stretch of time.
+    """
+    metrics: dict[str, float] = {}
+    calibration = 0.0
+    for _ in range(REPEATS):
+        for name, (base, log) in logs.items():
+            for method in METHODS:
+                # Earlier sweeps' catalogs sit in reference cycles; collect
+                # them now rather than inside a timed sweep.
+                gc.collect()
+                calibration = max(calibration, calibration_ops_per_sec())
+                cold, evaluations, catalog = sweep_rate(lambda: fresh_catalog(base), log, method)
+                warm, warm_evaluations, _ = sweep_rate(lambda: catalog, log, method)
+                assert warm_evaluations == evaluations  # warm caches never change the search
+                prefix = f"generate_{name}_{method}"
+                for phase, rate in (("cold", cold), ("warm", warm)):
+                    key = f"{prefix}_{phase}_per_sec"
+                    metrics[key] = max(metrics.get(key, 0.0), rate)
+                metrics[f"{prefix}_evaluations"] = evaluations
+    return metrics, calibration
+
+
+def test_perf_generation_gate(covid_catalog, sdss_catalog, sp500_catalog, covid_v3_log):
+    logs = {
+        "covid_v3": (covid_catalog, covid_v3_log),
+        "sdss_extended": (sdss_catalog, sdss_extended_query_log()),
+        "sp500": (sp500_catalog, sp500_query_log()),
+    }
+    metrics, calibration = measure_generation_rates(logs)
+    print_table(
+        "Perf P1: generations/sec over growing log prefixes (cold = fresh catalog)",
+        ["Log", "Method", "Cold gen/s", "Warm gen/s", "Evaluations"],
+        [
+            [
+                name,
+                method,
+                f"{metrics[f'generate_{name}_{method}_cold_per_sec']:.1f}",
+                f"{metrics[f'generate_{name}_{method}_warm_per_sec']:.1f}",
+                metrics[f"generate_{name}_{method}_evaluations"],
+            ]
+            for name in logs
+            for method in METHODS
+        ],
+    )
+    path = os.environ.get("BENCH_GENERATE_JSON")
+    if path:
+        payload = {"metrics": metrics, "calibration_ops_per_sec": calibration}
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=1, sort_keys=True)
+        print(f"\nwrote {len(metrics)} metrics to {path}")
+    # A warm catalog answers from its structure caches: it must not be slower.
+    for name in logs:
+        for method in METHODS:
+            prefix = f"generate_{name}_{method}"
+            assert metrics[f"{prefix}_warm_per_sec"] >= 0.8 * metrics[f"{prefix}_cold_per_sec"]

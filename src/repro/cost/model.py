@@ -120,7 +120,7 @@ class CostModel:
         weights: CostWeights | None = None,
         check_expressiveness: bool = True,
         nominal_cardinalities: dict[str, int] | None = None,
-        coverage_memo=None,
+        caches=None,
     ) -> None:
         """
         Args:
@@ -131,23 +131,23 @@ class CostModel:
             nominal_cardinalities: optional attribute → distinct-count map so
                 the visualization term can price noisy color encodings (built
                 from the catalog by the pipeline).
-            coverage_memo: optional shared coverage-verdict mapping (the
-                pipeline passes the catalog's ``coverage_memo``, so verdicts
-                outlive one generation); without one the model keeps a
-                private LRU of the same capacity.
+            caches: the :class:`~repro.difftree.signatures.StructureCaches`
+                to keep coverage verdicts and filter-attribute sets in (the
+                pipeline passes the catalog's, so they outlive one
+                generation); without them the model keeps private caches of
+                the same capacities.
         """
-        from repro.difftree.signatures import LruDict
-        from repro.engine.catalog import COVERAGE_MEMO_CAPACITY
+        from repro.difftree.signatures import StructureCaches
 
         self.weights = weights or CostWeights()
         self.check_expressiveness = check_expressiveness
         self.nominal_cardinalities = nominal_cardinalities or {}
-        # One boolean per (tree structure, member query) pair.  Bounded all
-        # the same: a long search must not hold every structure it ever costed.
-        if coverage_memo is None:
-            coverage_memo = LruDict(COVERAGE_MEMO_CAPACITY)
-        self._coverage_cache = coverage_memo
-        self._filter_attribute_cache = LruDict(2048)
+        # Bounded all the same: a long search must not hold every structure
+        # it ever costed.
+        if caches is None:
+            caches = StructureCaches()
+        self._coverage_cache = caches.coverage
+        self._filter_attribute_cache = caches.filter_attributes
 
     # ------------------------------------------------------------------ #
     # Term evaluation
@@ -208,15 +208,15 @@ class CostModel:
     def _filter_attributes(self, interface: Interface, tree_index: int) -> frozenset[str]:
         """Column names referenced by comparison predicates anywhere in the tree.
 
-        Memoized by structural signature: the attribute set is a function of
-        the tree structure alone (choice ids are irrelevant), and sibling
-        candidates share most trees.
+        Memoized by structure key: the attribute set is a function of the
+        tree structure alone (choice ids are irrelevant), and sibling
+        candidates — and consecutive generations — share most trees.
         """
-        from repro.difftree.signatures import structural_signature
+        from repro.difftree.signatures import structure_key
         from repro.sql.ast_nodes import BetweenOp, BinaryOp, ColumnRef, InList, InSubquery
 
         tree = interface.forest.trees[tree_index]
-        signature = structural_signature(tree)
+        signature = structure_key(tree)
         cached = self._filter_attribute_cache.get(signature)
         if cached is not None:
             return cached

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import MergeError
-from repro.difftree.canonical import canonicalize, queries_share_source, structural_similarity
+from repro.difftree.canonical import canonical_form, queries_share_source, structural_similarity
 from repro.difftree.diff import merge_nodes
 from repro.difftree.instantiate import covers
 from repro.difftree.nodes import collect_choice_nodes
@@ -103,7 +103,12 @@ class DifftreeForest:
 
 
 def parse_query_log(queries: Sequence[str | SqlNode]) -> list[Select]:
-    """Parse and canonicalize a query log given as SQL strings or ASTs."""
+    """Parse and canonicalize a query log given as SQL strings or ASTs.
+
+    The canonical form is memoized on each AST, so a log of shared ASTs (the
+    pipeline reads its log through the catalog's AST memo) canonicalizes
+    each query once.
+    """
     parsed: list[Select] = []
     for query in queries:
         if isinstance(query, str):
@@ -112,7 +117,7 @@ def parse_query_log(queries: Sequence[str | SqlNode]) -> list[Select]:
             ast = query
         else:
             raise MergeError(f"Query log entries must be SQL strings or SELECT ASTs, got {type(query).__name__}")
-        parsed.append(canonicalize(ast))
+        parsed.append(canonical_form(ast))
     return parsed
 
 

@@ -9,14 +9,11 @@ which queries to cluster into the same Difftree.
 
 from __future__ import annotations
 
-from repro.difftree.signatures import tree_signature
 from repro.sql.ast_nodes import (
     BinaryOp,
     ColumnRef,
-    Join,
     Select,
     SqlNode,
-    SubqueryRef,
     TableRef,
 )
 from repro.sql.visitor import transform
@@ -161,17 +158,34 @@ def tree_fingerprint(node: SqlNode) -> str:
     return cached_fingerprint(node)
 
 
+def _similarity_key(node: SqlNode) -> tuple:
+    """``(label, child keys)`` of a subtree, memoized on the node.
+
+    Unlike the type-exact :func:`~repro.difftree.signatures.tree_signature`,
+    this compares labels with Python ``==`` (``1``, ``1.0`` and ``TRUE``
+    match), as :func:`~repro.difftree.diff.merge_nodes` does: similarity
+    estimates how much of two queries a merge would share.
+    """
+    try:
+        return node._repro_similarity_key  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    key = (node.label(), tuple(_similarity_key(child) for child in node.children()))
+    object.__setattr__(node, "_repro_similarity_key", key)
+    return key
+
+
 def shared_node_count(a: SqlNode, b: SqlNode) -> int:
     """Number of structurally identical subtrees shared by ``a`` and ``b``.
 
-    Counted over multisets of subtree signatures, so repeated structure is
-    credited once per occurrence.  The signatures are memoized on the nodes,
-    so comparing every query pair of a log computes each one once.
+    Counted over multisets of subtree keys, so repeated structure is credited
+    once per occurrence.  The keys are memoized on the nodes, so comparing
+    every query pair of a log computes each one once.
     """
     def fingerprint_counts(node: SqlNode) -> dict[tuple, int]:
         counts: dict[tuple, int] = {}
         for descendant in node.walk():
-            key = tree_signature(descendant)
+            key = _similarity_key(descendant)
             counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -198,21 +212,6 @@ def queries_share_source(a: Select, b: Select) -> bool:
     tables_a = {ref.name.lower() for ref in a.find_all(TableRef)}
     tables_b = {ref.name.lower() for ref in b.find_all(TableRef)}
     return bool(tables_a & tables_b)
-
-
-def count_joins(query: Select) -> int:
-    """Number of join operators in the query."""
-    return len(query.find_all(Join))
-
-
-def count_subqueries(query: Select) -> int:
-    """Number of nested SELECTs (excluding the query itself)."""
-    return sum(1 for node in query.walk() if isinstance(node, Select)) - 1
-
-
-def count_derived_tables(query: Select) -> int:
-    """Number of derived tables in FROM clauses."""
-    return len(query.find_all(SubqueryRef))
 
 
 def split_conjuncts(predicate: SqlNode | None) -> list[SqlNode]:

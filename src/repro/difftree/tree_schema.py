@@ -16,10 +16,12 @@ search for a compatible match.  This module computes the Difftree side:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable
 
 from repro.difftree.builder import DifftreeForest
 from repro.difftree.instantiate import default_bindings, instantiate
 from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes
+from repro.difftree.signatures import STRUCTURE_CACHE_CAPACITIES, LruDict, structure_key
 from repro.sql.analyzer import Analyzer, QueryProfile
 from repro.sql.ast_nodes import (
     BetweenOp,
@@ -58,10 +60,6 @@ class ChoiceContext:
     wraps_predicate: bool = False
 
     @property
-    def is_numeric_domain(self) -> bool:
-        return self.alternative_kind == "numeric_literal"
-
-    @property
     def is_range_member(self) -> bool:
         return self.range_partner is not None
 
@@ -71,7 +69,6 @@ class TreeProfile:
     """Schema-matching profile of one Difftree."""
 
     tree_index: int
-    default_query: Select
     query_profile: QueryProfile
     choices: list[ChoiceContext] = field(default_factory=list)
 
@@ -96,13 +93,6 @@ class ForestSchema:
     """Profiles for every tree of a forest."""
 
     profiles: list[TreeProfile] = field(default_factory=list)
-
-    def all_choices(self) -> list[tuple[int, ChoiceContext]]:
-        result = []
-        for profile in self.profiles:
-            for context in profile.choices:
-                result.append((profile.tree_index, context))
-        return result
 
 
 # --------------------------------------------------------------------------- #
@@ -161,65 +151,114 @@ def _literal_values(node: ChoiceNode) -> tuple:
     return ()
 
 
-def _find_clause(root: Select, target: ChoiceNode) -> str:
-    """The clause of the nearest enclosing SELECT that contains ``target``."""
-    # Locate the innermost Select that contains the target.
-    owner = root
-    for node in root.walk():
-        if isinstance(node, Select) and any(descendant is target for descendant in node.walk()):
-            owner = node
-    slots: list[tuple[str, list[SqlNode]]] = [
-        ("select", [item for item in owner.select_items]),
-        ("from", [owner.from_clause] if owner.from_clause is not None else []),
-        ("where", [owner.where] if owner.where is not None else []),
-        ("group_by", list(owner.group_by)),
-        ("having", [owner.having] if owner.having is not None else []),
-        ("order_by", list(owner.order_by)),
-        ("cte", list(owner.ctes)),
-    ]
-    for clause, nodes in slots:
-        for node in nodes:
-            if node is target or any(descendant is target for descendant in node.walk()):
-                return clause
-    return "select"
+#: The clause of each Select field that holds nodes.
+_SELECT_SLOTS = {
+    "select_items": "select",
+    "from_clause": "from",
+    "where": "where",
+    "group_by": "group_by",
+    "having": "having",
+    "order_by": "order_by",
+    "ctes": "cte",
+}
+_SLOT_ORDER = {clause: order for order, clause in enumerate(CLAUSES)}
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-def _comparison_context(tree: SqlNode, target: ChoiceNode) -> tuple[str | None, str | None, str | None]:
-    """(attribute, operator, range position) of the comparison enclosing ``target``."""
-    for node in tree.walk():
-        if isinstance(node, BinaryOp) and node.op in ("=", "<>", "<", "<=", ">", ">="):
-            if node.right is target and isinstance(node.left, ColumnRef):
-                return node.left.name, node.op, None
-            if node.left is target and isinstance(node.right, ColumnRef):
-                return node.right.name, node.op, None
-        if isinstance(node, BetweenOp) and isinstance(node.expr, ColumnRef):
-            if node.low is target:
-                return node.expr.name, "between", "low"
-            if node.high is target:
-                return node.expr.name, "between", "high"
-        if isinstance(node, (InList, InSubquery)) and isinstance(node.expr, ColumnRef):
-            if any(child is target for child in node.children()):
-                return node.expr.name, "in", None
-        if isinstance(node, FunctionCall):
-            if any(arg is target for arg in node.args):
-                # e.g. ANY inside strftime(...) — attribute unknown.
-                return None, node.lower_name, None
-    return None, None, None
+def _comparisons_under(node: SqlNode) -> list[tuple[SqlNode, tuple]]:
+    """(choice child, (attribute, operator, range position)) pairs ``node`` establishes."""
+    if isinstance(node, BinaryOp):
+        if node.op not in _COMPARISONS:
+            return []
+        if isinstance(node.right, ChoiceNode) and isinstance(node.left, ColumnRef):
+            return [(node.right, (node.left.name, node.op, None))]
+        if isinstance(node.left, ChoiceNode) and isinstance(node.right, ColumnRef):
+            return [(node.left, (node.right.name, node.op, None))]
+        return []
+    if isinstance(node, BetweenOp):
+        if not isinstance(node.expr, ColumnRef):
+            return []
+        name = node.expr.name
+        return [
+            (bound, (name, "between", position))
+            for bound, position in ((node.low, "low"), (node.high, "high"))
+            if isinstance(bound, ChoiceNode)
+        ]
+    if isinstance(node, (InList, InSubquery)):
+        if not isinstance(node.expr, ColumnRef):
+            return []
+        return [
+            (child, (node.expr.name, "in", None))
+            for child in node.children()
+            if isinstance(child, ChoiceNode)
+        ]
+    if isinstance(node, FunctionCall):
+        # e.g. ANY inside strftime(...) — attribute unknown.
+        return [
+            (arg, (None, node.lower_name, None)) for arg in node.args if isinstance(arg, ChoiceNode)
+        ]
+    return []
 
 
-def _range_partners(
-    tree: SqlNode, contexts: dict[str, tuple[str | None, str | None, str | None]]
-) -> dict[str, tuple[str, str]]:
-    """Pair up low/high choices of the same BETWEEN: choice_id -> (partner, position)."""
+def _child_slots(select: Select):
+    """(child, clause) pairs of a Select, in ``children()`` order."""
+    for name, value in select.child_slots():
+        clause = _SELECT_SLOTS.get(name)
+        if isinstance(value, SqlNode):
+            yield value, clause
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, SqlNode):
+                    yield item, clause
+
+
+def _walk_contexts(tree: SqlNode):
+    """One pre-order walk collecting every choice node's clause, comparison and range facts.
+
+    Returns ``(clauses, comparisons, partners)``:
+
+    * ``clauses`` — per choice *object*, its clause in the innermost SELECT
+      enclosing it.  A choice object placed at several positions takes the
+      last enclosing SELECT in pre-order among all its positions, then the
+      first clause in :data:`CLAUSES` order among its positions there.
+      Clauses are only tracked when the root is a SELECT;
+    * ``comparisons`` — per choice object, the (attribute, operator, range
+      position) of the first parent in pre-order that compares it with a
+      column;
+    * ``partners`` — per choice id, its (partner id, "low"/"high") in a
+      BETWEEN whose bounds are both choices; later BETWEENs overwrite
+      earlier ones.
+    """
+    track_clauses = isinstance(tree, Select)
+    # Per choice object, the greatest (pre-order index of the innermost
+    # SELECT, -slot order) over its positions.
+    owners: dict[int, tuple[int, int]] = {}
+    comparisons: dict[int, tuple] = {}
     partners: dict[str, tuple[str, str]] = {}
-    for node in tree.walk():
-        if not isinstance(node, BetweenOp):
-            continue
-        low, high = node.low, node.high
-        if isinstance(low, ChoiceNode) and isinstance(high, ChoiceNode):
-            partners[low.choice_id] = (high.choice_id, "low")
-            partners[high.choice_id] = (low.choice_id, "high")
-    return partners
+    selects = 0
+    # Stack entries: (node, innermost enclosing SELECT's pre-order index, clause).
+    stack: list[tuple[SqlNode, int, str | None]] = [(tree, -1, None)]
+    while stack:
+        node, owner, clause = stack.pop()
+        if isinstance(node, ChoiceNode) and track_clauses and clause is not None:
+            rank = (owner, -_SLOT_ORDER[clause])
+            if rank > owners.get(id(node), (-1, 0)):
+                owners[id(node)] = rank
+        for choice, context in _comparisons_under(node):
+            comparisons.setdefault(id(choice), context)
+        if isinstance(node, BetweenOp):
+            low, high = node.low, node.high
+            if isinstance(low, ChoiceNode) and isinstance(high, ChoiceNode):
+                partners[low.choice_id] = (high.choice_id, "low")
+                partners[high.choice_id] = (low.choice_id, "high")
+        if isinstance(node, Select):
+            index = selects
+            selects += 1
+            stack.extend((child, index, slot) for child, slot in reversed(list(_child_slots(node))))
+        else:
+            stack.extend((child, owner, clause) for child in reversed(node.children()))
+    clauses = {node_id: CLAUSES[-slot] for node_id, (_, slot) in owners.items()}
+    return clauses, comparisons, partners
 
 
 def choice_contexts(tree: SqlNode) -> list[ChoiceContext]:
@@ -227,17 +266,16 @@ def choice_contexts(tree: SqlNode) -> list[ChoiceContext]:
     choices = collect_choice_nodes(tree)
     if not choices:
         return []
-    root = tree if isinstance(tree, Select) else None
-    raw_contexts: dict[str, tuple[str | None, str | None, str | None]] = {}
-    for choice in choices:
-        raw_contexts[choice.choice_id] = _comparison_context(tree, choice)
-    partners = _range_partners(tree, raw_contexts)
+    clauses, comparisons, partners = _walk_contexts(tree)
+    # Keyed by choice id: the last node carrying an id speaks for all of them.
+    raw_contexts = {
+        choice.choice_id: comparisons.get(id(choice), (None, None, None)) for choice in choices
+    }
 
     contexts: list[ChoiceContext] = []
     for choice in choices:
         attribute, operator, position = raw_contexts[choice.choice_id]
         partner_id, partner_position = partners.get(choice.choice_id, (None, None))
-        clause = _find_clause(root, choice) if root is not None else "select"
         kind = "opt" if isinstance(choice, OptNode) else "any"
         alternative_kind = _alternative_kind(choice)
         contexts.append(
@@ -246,7 +284,7 @@ def choice_contexts(tree: SqlNode) -> list[ChoiceContext]:
                 kind=kind,
                 cardinality=2 if isinstance(choice, OptNode) else choice.cardinality,  # type: ignore[union-attr]
                 alternative_kind=alternative_kind,
-                clause=clause,
+                clause=clauses.get(id(choice), "select"),
                 target_attribute=attribute,
                 comparison_op=operator,
                 literal_values=_literal_values(choice),
@@ -271,82 +309,94 @@ def tree_profile(
     default_query = instantiate(tree, default_bindings(tree))
     if not isinstance(default_query, Select):
         raise TypeError("Difftree default instantiation is not a SELECT")
-    analyzer = Analyzer(table_schemas)
-    profile = analyzer.analyze(default_query)
     return TreeProfile(
         tree_index=tree_index,
-        default_query=default_query,
-        query_profile=profile,
+        query_profile=Analyzer(table_schemas).analyze(default_query),
         choices=choice_contexts(tree),
     )
 
 
+#: Tree objects the per-generation identity path remembers before it starts
+#: over: the bound one search's profile cache had before the store moved to
+#: the catalog (a search builds more tree objects than it visits structures).
+IDENTITY_PATH_CAPACITY = 1024
+
+
 class TreeProfileCache:
-    """Signature-keyed, LRU-bounded cache of per-tree profiles.
+    """One generation's view of a structure-keyed, LRU-bounded profile store.
 
     A tree's profile is a deterministic function of the tree structure and
-    the fixed catalog schemas, so it can be shared across every forest state
-    a search visits.  Lookups take an identity fast path first (neighbouring
+    the table schemas, so it can be shared across every forest state a
+    search visits — and, when the store is the catalog's, across
+    generations.  Lookups take an identity fast path first (neighbouring
     forest states share unchanged trees by object identity), then fall back
-    to the *structural* (choice-id-insensitive) signature, which also catches
-    equal trees rebuilt along different action sequences with fresh choice
-    ids — their choice nodes correspond positionally (pre-order), so the
-    cached profile's choice contexts are remapped to the new tree's ids.
+    to the store, keyed on ``(structure_key(tree), scope)``: the structure
+    key erases choice ids but keeps which choice nodes share one, and
+    ``scope`` identifies the table schemas.  Equal trees rebuilt along
+    different action sequences with fresh choice ids correspond
+    positionally (pre-order), so the cached profile's choice contexts are
+    remapped to the new tree's ids — once per tree object, since the remapped
+    profile joins the identity path.
+
+    ``hits``/``misses`` count this view's lookups only, so a store shared by
+    concurrent generations does not mix their traffic into each other's
+    statistics.  The identity path holds tree objects alive, so it never
+    outlives the view.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        from repro.difftree.signatures import LruDict
-
-        self._by_signature = LruDict(capacity)
+    def __init__(self, store: LruDict | None = None, scope: Hashable = None) -> None:
+        if store is None:
+            store = LruDict(STRUCTURE_CACHE_CAPACITIES["profiles"])
+        self._store = store
+        self._scope = scope
         self._by_id: dict[int, tuple[SqlNode, TreeProfile]] = {}
-        self._id_capacity = capacity
-
-    @property
-    def hits(self) -> int:
-        return self._by_signature.hits
-
-    @property
-    def misses(self) -> int:
-        return self._by_signature.misses
+        self.hits = 0
+        self.misses = 0
 
     def get(self, tree: SqlNode) -> TreeProfile | None:
         entry = self._by_id.get(id(tree))
         if entry is not None and entry[0] is tree:
-            self._by_signature.hits += 1
+            self.hits += 1
             return entry[1]
-        from repro.difftree.signatures import structural_signature
-
-        cached = self._by_signature.get(structural_signature(tree))
+        cached = self._store.get((structure_key(tree), self._scope))
         if cached is None:
+            self.misses += 1
             return None
+        self.hits += 1
         cached_ids, profile = cached
         tree_ids = tuple(node.choice_id for node in collect_choice_nodes(tree))
-        if tree_ids == cached_ids:
-            return profile
-        return _remap_profile(profile, cached_ids, tree_ids)
+        if tree_ids != cached_ids:
+            profile = _remap_profile(profile, cached_ids, tree_ids)
+        self._remember(tree, profile)
+        return profile
 
     def put(self, tree: SqlNode, profile: TreeProfile) -> None:
-        from repro.difftree.signatures import structural_signature
-
         tree_ids = tuple(node.choice_id for node in collect_choice_nodes(tree))
-        self._by_signature.put(structural_signature(tree), (tree_ids, profile))
-        if len(self._by_id) >= self._id_capacity:
+        self._store.put((structure_key(tree), self._scope), (tree_ids, profile))
+        self._remember(tree, profile)
+
+    def _remember(self, tree: SqlNode, profile: TreeProfile) -> None:
+        if len(self._by_id) >= IDENTITY_PATH_CAPACITY:
             self._by_id.clear()
         self._by_id[id(tree)] = (tree, profile)
 
     def stats(self) -> dict[str, int]:
-        return self._by_signature.stats()
+        stats = self._store.stats()
+        stats["hits"] = self.hits
+        stats["misses"] = self.misses
+        return stats
 
 
 def _remap_profile(
     profile: TreeProfile, cached_ids: tuple[str, ...], tree_ids: tuple[str, ...]
 ) -> TreeProfile:
-    """Rebind a cached profile's choice contexts to a structurally equal tree.
+    """Rebind a cached profile's choice contexts to a tree with the same structure key.
 
-    The two trees differ only in choice ids; choice nodes correspond
-    positionally, so every id-bearing field is translated through the
-    positional map.  The result is exactly the profile a from-scratch
-    ``tree_profile`` call on the new tree would produce.
+    The two trees differ only in choice ids, and their id-sharing patterns
+    are equal (the key includes them), so the positional map is a function:
+    every id-bearing field is translated through it.  The result is exactly
+    the profile a from-scratch ``tree_profile`` call on the new tree would
+    produce.
     """
     from dataclasses import replace
 
@@ -362,10 +412,7 @@ def _remap_profile(
         for context in profile.choices
     ]
     return TreeProfile(
-        tree_index=profile.tree_index,
-        default_query=profile.default_query,
-        query_profile=profile.query_profile,
-        choices=choices,
+        tree_index=profile.tree_index, query_profile=profile.query_profile, choices=choices
     )
 
 
@@ -373,10 +420,7 @@ def _reindexed(profile: TreeProfile, index: int) -> TreeProfile:
     if profile.tree_index == index:
         return profile
     return TreeProfile(
-        tree_index=index,
-        default_query=profile.default_query,
-        query_profile=profile.query_profile,
-        choices=profile.choices,
+        tree_index=index, query_profile=profile.query_profile, choices=profile.choices
     )
 
 

@@ -11,9 +11,12 @@ or ASTs through the planner/executor.  It also owns the two execution caches:
   — the dominant pattern in interface instantiation and search — skip
   execution entirely.
 
-Beside them it owns the **coverage memo** the interface cost model keeps its
-verdicts in (bounded, thread-safe, shared by every snapshot), so repeated
-generations on one catalog reuse them.
+Beside them it owns the **structure caches** interface generation keeps its
+per-structure facts in — coverage verdicts, tree profiles, chart templates,
+default-query row counts and filter-attribute sets (bounded, thread-safe,
+shared by every snapshot) — and a bounded memo of parsed ASTs that
+generation reads its query log through, so repeated generations on one
+catalog reuse both.
 
 Concurrency model (the serving layer's contract — see ``docs/SERVING.md``):
 
@@ -42,7 +45,7 @@ import threading
 from typing import Any, Iterable, Sequence
 
 from repro.errors import CatalogError
-from repro.difftree.signatures import SharedLruDict
+from repro.difftree.signatures import SharedLruDict, StructureCaches
 from repro.engine.explain import ExplainReport
 from repro.engine.ivm import AppendDelta, VersionLog
 from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
@@ -56,13 +59,10 @@ from repro.sql.schema import TableSchema
 #: FIFO capacity of the parsed-AST cache.  Query texts repeat heavily in the
 #: interface/search workloads, and parsing is a measurable slice of warm
 #: execution; parsed ASTs are immutable by engine convention, so sharing one
-#: node tree across executions is safe (and lets the executor's identity-keyed
+#: node tree across executions — and across generations, which then reuse
+#: every memo on the nodes — is safe (and lets the executor's identity-keyed
 #: memos hit too).
 AST_CACHE_CAPACITY = 512
-
-#: LRU capacity of the coverage memo (``Catalog.coverage_memo``): one boolean
-#: per (tree structure, member query) pair the cost model has settled.
-COVERAGE_MEMO_CAPACITY = 4096
 
 #: Process-wide catalog identity counter.  Data-version fingerprints are only
 #: comparable *within* one catalog lineage (two independent catalogs both
@@ -76,9 +76,9 @@ class DetachedParser:
     """A standalone bounded SQL-parse memo for snapshots detached from a catalog.
 
     A pickled :class:`CatalogSnapshot` cannot carry its owning catalog's bound
-    ``_parse`` method across the process boundary (the catalog holds locks and
+    ``parse`` method across the process boundary (the catalog holds locks and
     caches that must not travel).  Workers attach one of these instead: same
-    bounded-FIFO contract as ``Catalog._parse``, no locking (worker processes
+    bounded-FIFO contract as ``Catalog.parse``, no locking (worker processes
     are single-threaded).
     """
 
@@ -111,12 +111,13 @@ class Catalog:
         self._plan_cache: dict = {}
         self._ast_cache: dict[str, SqlNode] = {}
         self._query_cache = QueryCache(capacity=query_cache_capacity)
-        #: Coverage verdicts of the interface cost model (see
-        #: ``cost/expressiveness.py``).  They depend on tree structure and
-        #: query text only — never on data — so writers leave the memo alone
-        #: and it lives as long as the catalog lineage: every snapshot shares
-        #: it, and each generation on this catalog starts warm.
-        self._coverage_memo = SharedLruDict(COVERAGE_MEMO_CAPACITY)
+        #: Per-structure facts of interface generation (see
+        #: ``StructureCaches``).  Each key carries whatever the fact depends
+        #: on besides the tree — schemas, data version — so writers leave the
+        #: caches alone and they live as long as the catalog lineage: every
+        #: snapshot shares them, and each generation on this catalog starts
+        #: warm.
+        self._structure_caches = StructureCaches(SharedLruDict)
         #: Guards the table map, version reads and snapshot pinning.  Held
         #: only for pointer swaps and O(tables) bookkeeping — never across
         #: execution, parsing or table cloning.
@@ -131,8 +132,11 @@ class Catalog:
         #: ``_write_lock`` but never under ``_lock``.
         self._version_log = VersionLog()
 
-    def _parse(self, text: str) -> SqlNode:
-        """Parse SQL text with a bounded FIFO memo of the resulting AST."""
+    def parse(self, text: str) -> SqlNode:
+        """Parse SQL text with a bounded FIFO memo of the resulting AST.
+
+        Callers share the returned node and must not mutate it.
+        """
         node = self._ast_cache.get(text)
         if node is None:
             node = parse(text)
@@ -325,10 +329,10 @@ class Catalog:
                     version=fingerprint,
                     plan_cache=self._plan_cache,
                     query_cache=self._query_cache,
-                    parse=self._parse,
+                    parse=self.parse,
                     catalog_id=self.catalog_id,
                     version_log=self._version_log,
-                    coverage_memo=self._coverage_memo,
+                    structure_caches=self._structure_caches,
                 )
                 self._snapshot_memo = snapshot
         if freeze:
@@ -388,7 +392,7 @@ class Catalog:
         from repro.engine.optimizer import optimize_plan
         from repro.engine.planner import Planner
 
-        node = self._parse(query) if isinstance(query, str) else query
+        node = self.parse(query) if isinstance(query, str) else query
         if not isinstance(node, (Select, SetOperation)):
             raise CatalogError(f"Only SELECT queries can be planned, got {type(node).__name__}")
         if not physical:
@@ -435,8 +439,12 @@ class Catalog:
         return self._query_cache
 
     @property
+    def structure_caches(self) -> StructureCaches:
+        return self._structure_caches
+
+    @property
     def coverage_memo(self) -> SharedLruDict:
-        return self._coverage_memo
+        return self._structure_caches.coverage
 
     def cache_stats(self) -> dict[str, Any]:
         """Result- and plan-cache counters (hits, misses, hit rate, sizes)."""
@@ -445,12 +453,12 @@ class Catalog:
         return stats
 
     def clear_caches(self) -> None:
-        """Drop all cached results, compiled plans, parsed ASTs and coverage verdicts."""
-        # The result cache and the coverage memo have their own locks and are
-        # cleared outside _lock, keeping the invariant that cache-internal
+        """Drop all cached results, compiled plans, parsed ASTs and structure caches."""
+        # The result cache and the structure caches have their own locks and
+        # are cleared outside _lock, keeping the invariant that cache-internal
         # locks are never acquired while a catalog lock is held.
         self._query_cache.clear()
-        self._coverage_memo.clear()
+        self._structure_caches.clear()
         with self._lock:
             self._plan_cache.clear()
             self._ast_cache.clear()
@@ -477,8 +485,8 @@ class CatalogSnapshot:
     compiled-plan cache: both key entries by the *pinned* data version, so
     readers at different versions populate disjoint entries and a snapshot can
     never be served a result or an optimized plan computed from data it cannot
-    see.  They also share its coverage memo, whose verdicts hold at every
-    version.
+    see.  They also share its structure caches, whose keys carry everything
+    their facts depend on besides the tree.
     """
 
     def __init__(
@@ -491,7 +499,7 @@ class CatalogSnapshot:
         catalog_id: int = 0,
         version_log: VersionLog | None = None,
         *,
-        coverage_memo: SharedLruDict,
+        structure_caches: StructureCaches,
     ) -> None:
         self._tables = tables
         self._version = version
@@ -500,7 +508,7 @@ class CatalogSnapshot:
         self._parse = parse
         self.catalog_id = catalog_id
         self._version_log = version_log
-        self._coverage_memo = coverage_memo
+        self._structure_caches = structure_caches
         self._schemas_memo: dict[str, TableSchema] | None = None
 
     # ------------------------------------------------------------------ #
@@ -510,7 +518,7 @@ class CatalogSnapshot:
     # What crosses the process boundary: the pinned table map (immutable
     # data + incrementally maintained column statistics), the version
     # fingerprint and the catalog identity token.  What never crosses:
-    # the caches, the coverage memo included (they hold locks, and a
+    # the caches, the structure caches included (they hold locks, and a
     # worker's caches must key off the worker's own state), and the owning
     # catalog's bound parse memo.  An unpickled snapshot is self-sufficient
     # — fresh empty caches, a detached parser — and a worker that wants
@@ -544,7 +552,7 @@ class CatalogSnapshot:
         # at a version is a cold recompute, exactly matching what the fold
         # path must be equivalent to.
         self._version_log = None
-        self._coverage_memo = SharedLruDict(COVERAGE_MEMO_CAPACITY)
+        self._structure_caches = StructureCaches(SharedLruDict)
         self._schemas_memo = None
 
     def attach_caches(
@@ -552,15 +560,16 @@ class CatalogSnapshot:
         plan_cache: dict | None = None,
         query_cache: QueryCache | None = None,
         parse=None,
-        coverage_memo: SharedLruDict | None = None,
+        structure_caches: StructureCaches | None = None,
     ) -> None:
         """Attach shared caches to a detached (unpickled) snapshot.
 
         The worker handshake: a worker process holding snapshots at several
         fingerprints shares one result cache (keys embed the pinned version,
-        so entries never collide), one parse memo, one coverage memo
-        (verdicts hold at every version), and one compiled-plan cache **per
-        schema version** (plans bake in table-set analysis, so they are only
+        so entries never collide), one parse memo, one set of structure
+        caches (keys carry the schemas, catalog id and data version wherever
+        a fact depends on them), and one compiled-plan cache **per schema
+        version** (plans bake in table-set analysis, so they are only
         reusable while the schema component of the fingerprint is unchanged).
         """
         if plan_cache is not None:
@@ -569,8 +578,8 @@ class CatalogSnapshot:
             self._query_cache = query_cache
         if parse is not None:
             self._parse = parse
-        if coverage_memo is not None:
-            self._coverage_memo = coverage_memo
+        if structure_caches is not None:
+            self._structure_caches = structure_caches
 
     def freeze_tables(self) -> None:
         """Freeze every pinned table (idempotent) — see :meth:`Table.freeze`."""
@@ -612,8 +621,16 @@ class CatalogSnapshot:
         return self._query_cache
 
     @property
+    def structure_caches(self) -> StructureCaches:
+        return self._structure_caches
+
+    @property
     def coverage_memo(self) -> SharedLruDict:
-        return self._coverage_memo
+        return self._structure_caches.coverage
+
+    def parse(self, text: str) -> SqlNode:
+        """Parse SQL text through the owning catalog's (or the worker's) AST memo."""
+        return self._parse(text)
 
     def __contains__(self, name: str) -> bool:
         return self.has_table(name)

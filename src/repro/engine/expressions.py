@@ -93,19 +93,6 @@ class Environment:
             return self.parent.resolve(column)
         raise ExecutionError(f"Unknown column {column.qualified_name!r}")
 
-    def first_binding(self) -> dict[str, Any]:
-        """Values of the first binding (used by ``SELECT *`` expansion)."""
-        for values in self.bindings.values():
-            return values
-        return {}
-
-    def all_values(self) -> list[tuple[str, str, Any]]:
-        """Every (binding, column, value) triple — used by Star expansion."""
-        triples = []
-        for binding_name, values in self.bindings.items():
-            for column_name, value in values.items():
-                triples.append((binding_name, column_name, value))
-        return triples
 
 
 def like_to_regex(pattern: str) -> re.Pattern[str]:
@@ -119,13 +106,6 @@ def like_to_regex(pattern: str) -> re.Pattern[str]:
         else:
             out.append(re.escape(ch))
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
-
-
-def sql_equal(left: Any, right: Any) -> bool | None:
-    """SQL equality with NULL propagation."""
-    if left is None or right is None:
-        return None
-    return left == right
 
 
 def sql_cast(value: Any, target: str) -> Any:

@@ -26,20 +26,6 @@ def infer_column_type(values: Iterable[Any]) -> DataType:
     return inferred
 
 
-def infer_column_role(
-    data_type: DataType, values: Sequence[Any], distinct_count: int | None = None
-) -> AttributeRole:
-    """Infer the visualization role of a column from type and cardinality.
-
-    ``distinct_count`` lets callers that already know the cardinality (e.g. a
-    :class:`Table` with maintained statistics) skip rebuilding the distinct set.
-    """
-    if distinct_count is None:
-        non_null = {value for value in values if value is not None}
-        distinct_count = len(non_null)
-    return AttributeRole.from_data_type(data_type, distinct_count)
-
-
 class Table:
     """An in-memory, column-oriented relational table.
 
@@ -80,10 +66,6 @@ class Table:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_rows(cls, name: str, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> "Table":
-        return cls(name=name, columns=columns, rows=rows)
 
     @classmethod
     def from_dicts(cls, name: str, records: Sequence[dict[str, Any]]) -> "Table":

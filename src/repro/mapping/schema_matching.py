@@ -16,22 +16,26 @@ in the mappers.
 
 The mapping is *decomposed per tree* so the search layer can evaluate
 candidates incrementally: profiles, chart templates and interaction-mapping
-pieces are deterministic functions of one tree (plus, for interaction pieces,
-the shapes of the surrounding charts) and are cached by tree signature in a
-:class:`MappingCaches` bundle.  Only the layout step — which genuinely couples
-trees — always runs globally.
+pieces are deterministic functions of one tree (plus the table schemas, and,
+for interaction pieces, the shapes of the surrounding charts) and are cached
+by tree key in a :class:`MappingCaches` bundle.  Only the layout step — which
+genuinely couples trees — always runs globally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Hashable
 
 from repro.difftree.builder import DifftreeForest
-from repro.difftree.signatures import LruDict, structural_signature, tree_signature
-from repro.difftree.tree_schema import (
-    TreeProfileCache,
-    forest_schema,
+from repro.difftree.signatures import (
+    STRUCTURE_CACHE_CAPACITIES,
+    ExactKey,
+    LruDict,
+    structure_key,
+    tree_key,
 )
+from repro.difftree.tree_schema import TreeProfileCache, forest_schema
 from repro.interface.interface import Interface
 from repro.interface.layout import MEDIUM_SCREEN, ScreenSize
 from repro.mapping.interaction_mapping import (
@@ -53,24 +57,49 @@ class MappingConfig:
     name: str = "interface"
 
 
+def schema_scope(table_schemas: dict[str, TableSchema]) -> ExactKey:
+    """The value of a catalog's schemas as a cache-key component.
+
+    Profiles and chart templates depend on the schemas, which an append can
+    change without a schema-version bump (column roles follow distinct
+    counts), so caches that outlive a generation key on this value.
+    """
+    return ExactKey(tuple(sorted(table_schemas.items())))
+
+
 @dataclass
 class MappingCaches:
-    """Signature-keyed per-tree caches shared across candidate evaluations.
+    """Per-tree caches shared across candidate evaluations.
 
-    * ``profiles`` — tree signature → :class:`TreeProfile` (instantiation,
-      analysis and choice contexts of one tree),
-    * ``visualizations`` — tree signature → chart template (re-id'd per
-      forest position on reuse),
-    * ``pieces`` — (tree signature, position, chart-context signature) →
-      interaction-mapping piece.  The chart-context part captures the shapes
-      of *all* charts because linked interactions (brushes, click-selects)
-      target other trees' charts; a piece is only reused when every chart the
-      decision could have looked at is unchanged.
+    * ``profile_store`` — ``(structure key, scope)`` → ``(choice ids,``
+      :class:`TreeProfile` ``)``, read through the per-generation
+      :class:`TreeProfileCache` view ``profiles``, which remaps choice ids;
+    * ``visualizations`` — ``(structure key, scope)`` → chart template
+      (re-id'd per forest position on reuse);
+    * ``pieces`` — (tree key, position, chart-context) → interaction-mapping
+      piece.  The chart-context part captures the shapes of *all* charts
+      because linked interactions (brushes, click-selects) target other
+      trees' charts; a piece is only reused when every chart the decision
+      could have looked at is unchanged.
+
+    ``scope`` identifies the table schemas (see :func:`schema_scope`).  The
+    search passes its catalog's stores for the first two, so they outlive one
+    generation; pieces embed choice ids, which each generation allocates
+    afresh, so they never do.
     """
 
-    profiles: TreeProfileCache = field(default_factory=lambda: TreeProfileCache(1024))
-    visualizations: LruDict = field(default_factory=lambda: LruDict(1024))
+    profile_store: LruDict = field(
+        default_factory=lambda: LruDict(STRUCTURE_CACHE_CAPACITIES["profiles"])
+    )
+    visualizations: LruDict = field(
+        default_factory=lambda: LruDict(STRUCTURE_CACHE_CAPACITIES["charts"])
+    )
     pieces: LruDict = field(default_factory=lambda: LruDict(2048))
+    scope: Hashable = None
+    profiles: TreeProfileCache = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.profiles = TreeProfileCache(store=self.profile_store, scope=self.scope)
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {
@@ -97,12 +126,12 @@ def _tree_visualization(profile, index: int, tree, caches: MappingCaches | None)
     if caches is None:
         return map_tree_to_visualization(profile, vis_id=vis_id)
     # Chart templates never reference choice ids, so the id-insensitive
-    # signature shares them across replayed merges.
-    signature = structural_signature(tree)
-    template = caches.visualizations.get(signature)
+    # structure key shares them across replayed merges.
+    key = (structure_key(tree), caches.scope)
+    template = caches.visualizations.get(key)
     if template is None:
         template = map_tree_to_visualization(profile, vis_id=vis_id)
-        caches.visualizations.put(signature, template)
+        caches.visualizations.put(key, template)
     # Copy with positional identity: the cached template must never be aliased
     # into a live interface (layout sizing mutates width/height in place).
     return replace(template, vis_id=vis_id, tree_index=index)
@@ -132,13 +161,13 @@ def map_forest_to_interface(
     ]
 
     mapper = InteractionMapper(policy=config.policy)
-    context = _chart_context(visualizations) if caches is not None else None
+    context = ExactKey(_chart_context(visualizations)) if caches is not None else None
     pieces = []
     for index, profile in enumerate(schema.profiles):
         piece = None
         key = None
         if caches is not None:
-            key = (tree_signature(forest.trees[index]), index, context)
+            key = (tree_key(forest.trees[index]), index, context)
             piece = caches.pieces.get(key)
         if piece is None:
             piece = mapper.map_tree_piece(profile, forest, visualizations)

@@ -35,6 +35,7 @@ from repro.search.exhaustive import exhaustive_search
 from repro.search.greedy import greedy_search
 from repro.search.mcts import mcts_search
 from repro.search.space import SearchSpace, SearchStats
+from repro.sql.ast_nodes import Select
 
 
 @dataclass
@@ -118,8 +119,9 @@ def generate_interface(
             May be a pinned :class:`~repro.engine.catalog.CatalogSnapshot` —
             the serving layer passes one so a whole generation run reads a
             single consistent data version while writers keep ingesting.
-            The cost model keeps its coverage verdicts in the catalog's
-            ``coverage_memo``, so later generations on the same catalog
+            Query text is parsed through the catalog's AST memo, and the
+            search keeps its per-structure facts in the catalog's
+            ``structure_caches``, so later generations on the same catalog
             start warm; time a cold generation on a fresh catalog or after
             ``clear_caches()``.
         config: Pipeline configuration; defaults to MCTS search on a
@@ -138,13 +140,13 @@ def generate_interface(
     cost_model = CostModel(
         weights=config.cost_weights,
         nominal_cardinalities=nominal_cardinalities,
-        coverage_memo=catalog.coverage_memo,
+        caches=catalog.structure_caches,
     )
     mapping_config = MappingConfig(
         screen=config.screen, policy=config.mapping_policy, name=config.name
     )
     space = SearchSpace(
-        queries=list(queries),
+        queries=[_parsed(query, catalog) for query in queries],
         table_schemas=table_schemas,
         mapping_config=mapping_config,
         cost_model=cost_model,
@@ -184,6 +186,18 @@ def generate_interface(
         elapsed_seconds=elapsed,
         action_trace=result.action_trace,
     )
+
+
+def _parsed(query, catalog):
+    """A log entry as the catalog's shared AST (SQL text that is no SELECT stays text).
+
+    Regenerating on a longer log then reuses the earlier queries' ASTs and
+    every memo on them: canonical forms, signatures and coverage targets.
+    """
+    if not isinstance(query, str):
+        return query
+    node = catalog.parse(query)
+    return node if isinstance(node, Select) else query
 
 
 def map_queries_statically(

@@ -18,10 +18,16 @@ Evaluation is **incremental**: every action touches one or two trees (its
 :attr:`Action.touched` delta) while the rest of the forest is structure-shared
 with the parent state, so all per-tree work — profiling, chart templates,
 widget mapping pieces, coverage checks, and default-query data profiling — is
-cached by per-tree signature (:mod:`repro.difftree.signatures`) and
+cached by per-tree key (:mod:`repro.difftree.signatures`) and
 reused for unchanged trees.  Only the genuinely tree-coupled steps (layout,
 the duplicate-chart penalty, id renumbering) run globally per candidate, which
 makes one evaluation O(changed trees) instead of O(forest).
+
+The caches whose facts never mention choice ids live on the catalog
+(:class:`~repro.difftree.signatures.StructureCaches`), so a generation pays
+for each tree structure once per catalog rather than once per generation;
+those that embed choice ids, which every generation allocates afresh, live
+on the space.
 """
 
 from __future__ import annotations
@@ -33,17 +39,20 @@ from typing import Callable, Sequence
 from repro.cost.model import CostBreakdown, CostModel
 from repro.difftree.builder import DifftreeForest, build_forest
 from repro.difftree.canonical import queries_share_source, structural_similarity
-from repro.difftree.signatures import LruDict, structural_signature, tree_signature
+from repro.difftree.signatures import ExactKey, LruDict, StructureCaches, structure_key, tree_key
 from repro.difftree.transformations import applicable_transformations
 from repro.errors import SearchError
 from repro.interface.interface import Interface
-from repro.mapping.schema_matching import MappingCaches, MappingConfig, map_forest_to_interface
+from repro.mapping.schema_matching import (
+    MappingCaches,
+    MappingConfig,
+    map_forest_to_interface,
+    schema_scope,
+)
 from repro.sql.schema import TableSchema
 
-#: Bound on the signature-keyed transformation cache (entries, LRU-evicted).
+#: Bound on the key-indexed transformation cache (entries, LRU-evicted).
 TRANSFORMATION_CACHE_CAPACITY = 512
-#: Bound on the per-tree data-profile (row count) cache.
-ROWS_CACHE_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -165,16 +174,24 @@ class SearchSpace:
         self.cost_model = cost_model or CostModel()
         self.initial_state = build_forest(queries, strategy=initial_strategy)
         self._cache: dict[tuple, Evaluation] = {}
-        #: Per-tree mapping caches (profiles, chart templates, widget pieces),
-        #: keyed by tree signature — see MappingCaches.
-        self.mapping_caches = MappingCaches()
-        #: Per-tree default-instantiation row counts, keyed by
-        #: (tree signature, catalog data version) so catalog mutations
-        #: invalidate entries implicitly.
-        self._rows_cache = LruDict(ROWS_CACHE_CAPACITY)
-        #: Applicable transformations per tree, keyed by tree signature and
+        # The catalog's structure caches, or private ones of the same bounds.
+        caches = catalog.structure_caches if catalog is not None else StructureCaches()
+        #: Per-tree mapping caches (profiles, chart templates, widget pieces);
+        #: the first two are the structure caches — see MappingCaches.
+        self.mapping_caches = MappingCaches(
+            profile_store=caches.profiles,
+            visualizations=caches.charts,
+            scope=schema_scope(table_schemas),
+        )
+        #: Per-tree default-instantiation row counts, keyed by (structure
+        #: key, (catalog id, data version)) so catalog mutations invalidate
+        #: entries implicitly — and a worker process's caches, shared by
+        #: several catalogs, never confuse two catalogs' lineage-local
+        #: versions.
+        self._rows_cache = caches.rows
+        #: Applicable transformations per tree, keyed by tree key and
         #: LRU-bounded (the transformations close over choice ids only, so
-        #: they are reusable across equal-signature trees).
+        #: they are reusable across equal-key trees within one generation).
         self._transformation_cache = LruDict(TRANSFORMATION_CACHE_CAPACITY)
         self._pair_similarity: dict[tuple[int, int], float] = {}
         self.stats = SearchStats()
@@ -241,14 +258,14 @@ class SearchSpace:
         return action.apply(forest)
 
     def _transformations_for(self, tree):
-        """Applicable transformations of one tree, cached by tree signature.
+        """Applicable transformations of one tree, cached by tree key.
 
         Transformation instances close over choice ids (not tree objects), so
-        equal-signature trees — which have equal choice ids at equal positions
-        — share one entry.  The cache is LRU-bounded: it can no longer hold
+        equal-key trees — which have equal choice ids at equal positions —
+        share one entry.  The cache is LRU-bounded: it can no longer hold
         every tree a long search ever saw alive.
         """
-        key = tree_signature(tree)
+        key = tree_key(tree)
         cached = self._transformation_cache.get(key)
         if cached is not None:
             return cached
@@ -311,25 +328,25 @@ class SearchSpace:
     def _profile_data(self, forest: DifftreeForest) -> tuple[int, ...] | None:
         """Row counts of each tree's default instantiation, incrementally.
 
-        Per-tree results are cached by (tree signature, catalog data version),
-        so a candidate evaluation only executes the trees its action changed —
-        and those usually hit the catalog's canonical-query result cache in
-        turn.  Execution/hit counts are attributed from the catalog's cache
-        statistics so ``SearchStats`` separates real executions from result-
-        cache hits.
+        Per-tree results are cached by (structure key, catalog data version),
+        so a candidate evaluation only executes the trees no earlier
+        evaluation on this catalog version profiled — and those usually hit
+        the catalog's canonical-query result cache in turn.  Execution/hit
+        counts are attributed from the catalog's cache statistics so
+        ``SearchStats`` separates real executions from result-cache hits.
         """
         if self.catalog is None:
             return None
         from repro.difftree.instantiate import instantiate_and_execute
 
-        version = self.catalog.data_version()
+        version = ExactKey((self.catalog.catalog_id, self.catalog.data_version()))
         cache_stats = self.catalog.query_cache.stats
         row_counts: list[int | None] = [None] * forest.tree_count
         missed: list[tuple[int, object, tuple]] = []
         for index, tree in enumerate(forest.trees):
             # Default instantiations never depend on choice ids, so row
             # counts are shared across replayed merges too.
-            key = (structural_signature(tree), version)
+            key = (structure_key(tree), version)
             cached = self._rows_cache.get(key)
             if cached is not None:
                 self.stats.profile_cache_hits += 1

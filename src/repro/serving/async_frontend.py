@@ -112,9 +112,6 @@ class AsyncInterfaceService:
         """Stable tenant -> shard routing (crc32, identical across runs)."""
         return zlib.crc32(tenant.encode("utf-8")) % len(self._shards)
 
-    def shard_service(self, shard: int) -> InterfaceService:
-        return self._shards[shard]
-
     def _service(self, handle: AsyncSession) -> InterfaceService:
         return self._shards[handle.shard]
 

@@ -84,10 +84,6 @@ class Session:
             self._ensure_open()
             return self._snapshot
 
-    def pinned_version(self) -> tuple:
-        """The data-version fingerprint the session currently reads at."""
-        return self.snapshot.data_version()
-
     def refresh(self) -> CatalogSnapshot:
         """Re-pin at the catalog's current version and rebind interface state.
 

@@ -60,8 +60,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import multiprocessing
 
-from repro.difftree.signatures import SharedLruDict
-from repro.engine.catalog import COVERAGE_MEMO_CAPACITY, CatalogSnapshot, DetachedParser
+from repro.difftree.signatures import SharedLruDict, StructureCaches
+from repro.engine.catalog import CatalogSnapshot, DetachedParser
 from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.query_cache import QueryCache
 from repro.errors import DeadlineExceededError, QueryTimeoutError, WorkerError
@@ -143,11 +143,13 @@ class _WorkerState:
     """Per-process snapshot cache + shared execution caches.
 
     Snapshots are cached by ``(catalog_id, fingerprint)``; the result cache,
-    parse memo and coverage memo are shared across fingerprints (result keys
-    embed the pinned version, parsing and coverage verdicts are
-    version-independent), and compiled-plan caches are shared **per schema
-    version** — a plan bakes in table-set analysis, so it survives
-    data-version bumps but not register/drop/replace.
+    parse memo and structure caches are shared across fingerprints (result
+    keys embed the pinned version, parsing and coverage verdicts are
+    version-independent, and the other structure caches key on the schemas
+    or on the catalog id plus data version, so they hold across catalogs
+    too), and compiled-plan caches are shared **per schema version** — a
+    plan bakes in table-set analysis, so it survives data-version bumps but
+    not register/drop/replace.
     """
 
     def __init__(self, capacity: int = SNAPSHOT_CACHE_CAPACITY) -> None:
@@ -155,7 +157,7 @@ class _WorkerState:
         self.snapshots: OrderedDict[tuple, CatalogSnapshot] = OrderedDict()
         self.query_cache = QueryCache(capacity=512)
         self.parse = DetachedParser()
-        self.coverage_memo = SharedLruDict(COVERAGE_MEMO_CAPACITY)
+        self.structure_caches = StructureCaches(SharedLruDict)
         self.plan_caches: dict[tuple, dict] = {}
 
     def lookup(self, key: tuple) -> CatalogSnapshot | None:
@@ -171,7 +173,7 @@ class _WorkerState:
             plan_cache=self.plan_caches.setdefault(plan_key, {}),
             query_cache=self.query_cache,
             parse=self.parse,
-            coverage_memo=self.coverage_memo,
+            structure_caches=self.structure_caches,
         )
         self.snapshots[key] = snapshot
         self.snapshots.move_to_end(key)

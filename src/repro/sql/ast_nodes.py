@@ -455,16 +455,6 @@ def is_aggregate_call(node: SqlNode) -> bool:
     return isinstance(node, FunctionCall) and node.lower_name in AGGREGATE_FUNCTIONS
 
 
-def is_window_call(node: SqlNode) -> bool:
-    """Return True when ``node`` is a window function application."""
-    return isinstance(node, WindowCall)
-
-
-def contains_window(node: SqlNode) -> bool:
-    """Return True when any descendant of ``node`` is a window call."""
-    return any(isinstance(descendant, WindowCall) for descendant in node.walk())
-
-
 def contains_aggregate(node: SqlNode) -> bool:
     """Return True when any descendant of ``node`` is a *group* aggregate call.
 

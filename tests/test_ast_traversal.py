@@ -15,8 +15,9 @@ parsed, and inside generated Difftrees (with their ANY/OPT nodes):
 Two more facts are memoized on the frozen node the same way and held to the
 same three checks: ``collect_choice_nodes`` (a tuple of the choice nodes in
 pre-order, by identity) and ``tree_signature`` (the ``(label, child keys)``
-tuple ``structural_similarity`` compares for every subtree of every query
-pair).
+tuple every per-tree cache key is built from).  The signature's label is
+type-exact — ``1``, ``1.0`` and ``TRUE`` get different labels — so the
+oracle below builds that label itself, from the dataclass fields.
 """
 
 from __future__ import annotations
@@ -77,8 +78,36 @@ def fresh_choice_nodes(node: SqlNode) -> list[SqlNode]:
     return [descendant for descendant in recursive_preorder(node) if isinstance(descendant, ChoiceNode)]
 
 
+def exact(value):
+    """A scalar tagged with its type wherever Python equality would merge types."""
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, int):
+        return ("int", value)
+    if isinstance(value, float):
+        return ("float", repr(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(exact(item) for item in value)
+    if isinstance(value, dict):
+        return tuple(sorted((key, exact(item)) for key, item in value.items()))
+    return value
+
+
+def fresh_label(node: SqlNode) -> tuple:
+    """Class name plus every non-node field, type-exact, sorted by field name."""
+    scalars = []
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, SqlNode):
+            continue
+        if isinstance(value, (list, tuple)) and any(isinstance(item, SqlNode) for item in value):
+            continue
+        scalars.append((field.name, exact(value)))
+    return (type(node).__name__, tuple(sorted(scalars, key=lambda pair: pair[0])))
+
+
 def fresh_signature(node: SqlNode) -> tuple:
-    return (node.label(), tuple(fresh_signature(child) for child in field_children(node)))
+    return (fresh_label(node), tuple(fresh_signature(child) for child in field_children(node)))
 
 
 def same_nodes(actual, expected) -> bool:

@@ -38,8 +38,15 @@ from repro.datasets import (
     synthetic_covid_log,
 )
 from repro.difftree.nodes import AnyNode
-from repro.difftree.signatures import LruDict, SharedLruDict, choice_sharing, structural_signature
-from repro.engine.catalog import COVERAGE_MEMO_CAPACITY, Catalog
+from repro.difftree.signatures import (
+    COVERAGE_MEMO_CAPACITY,
+    LruDict,
+    SharedLruDict,
+    StructureCaches,
+    choice_sharing,
+    structural_signature,
+)
+from repro.engine.catalog import Catalog
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.serving.workers import _WorkerState
 from repro.sql.ast_nodes import BinaryOp, ColumnRef, Literal, Select, SelectItem, TableRef
@@ -189,9 +196,9 @@ def test_worker_attaches_one_memo_per_process():
     first = state.admit((catalog.catalog_id, catalog.data_version()), pickle.dumps(catalog.snapshot()))
     catalog.append_rows("covid_cases", [("NY", "2021-12-05", 1)])
     second = state.admit((catalog.catalog_id, catalog.data_version()), pickle.dumps(catalog.snapshot()))
-    assert first.coverage_memo is state.coverage_memo
-    assert second.coverage_memo is state.coverage_memo
-    assert state.coverage_memo is not catalog.coverage_memo
+    assert first.coverage_memo is state.structure_caches.coverage
+    assert second.coverage_memo is state.structure_caches.coverage
+    assert state.structure_caches.coverage is not catalog.coverage_memo
 
 
 def test_memo_capacity_is_bounded():
@@ -246,8 +253,8 @@ def test_cost_model_without_a_memo_keeps_a_private_one():
     assert isinstance(first._coverage_cache, LruDict)
     assert first._coverage_cache is not second._coverage_cache
     assert first._coverage_cache.capacity == COVERAGE_MEMO_CAPACITY
-    memo = SharedLruDict(8)
-    assert CostModel(coverage_memo=memo)._coverage_cache is memo
+    caches = StructureCaches(SharedLruDict)
+    assert CostModel(caches=caches)._coverage_cache is caches.coverage
 
 
 # --------------------------------------------------------------------------- #

@@ -107,8 +107,8 @@ class TestTreeProfiles:
         second = forest_schema(forest, covid_catalog.schemas(), profile_cache=cache)
         assert (cache.hits, cache.misses) == (forest.tree_count, forest.tree_count)
         assert cache.stats()["entries"] == forest.tree_count
-        assert [p.default_query for p in first.profiles] == [
-            p.default_query for p in second.profiles
+        assert [(p.query_profile, p.choices) for p in first.profiles] == [
+            (p.query_profile, p.choices) for p in second.profiles
         ]
         assert all(a is b for a, b in zip(first.profiles, second.profiles))
 

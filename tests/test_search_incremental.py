@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.cost import CostModel
+from repro.engine.catalog import Catalog
 from repro.mapping import MappingConfig
 from repro.search import SearchSpace, beam_search, greedy_search, mcts_search
 from repro.search.space import TRANSFORMATION_CACHE_CAPACITY
@@ -36,6 +37,19 @@ def make_space(schema_catalog, queries, **kwargs):
         cost_model=CostModel(),
         **kwargs,
     )
+
+
+def fresh_catalog(base: Catalog) -> Catalog:
+    """A new catalog (every cache empty) over the same immutable tables.
+
+    A space built on a catalog keeps its profiles, chart templates and row
+    counts in the catalog's structure caches, so a from-scratch evaluation
+    needs a catalog no other space has used.
+    """
+    catalog = Catalog()
+    for name in base.table_names():
+        catalog.register(base.table(name))
+    return catalog
 
 
 def interface_dump(interface) -> tuple:
@@ -118,7 +132,8 @@ class TestIncrementalEqualsFull:
         mcts_search(warm, iterations=8, seed=seed)
         for forest, action in random_walk(warm, rng, steps=4):
             incremental = warm.evaluate(forest, changed=action.touched, use_cache=False)
-            cold = make_space(covid_catalog, covid_log[:4], catalog=covid_catalog)
+            cold_catalog = fresh_catalog(covid_catalog)
+            cold = make_space(cold_catalog, covid_log[:4], catalog=cold_catalog)
             scratch = cold.evaluate(forest)
             assert incremental.cost.as_dict() == scratch.cost.as_dict()
             assert interface_dump(incremental.interface) == interface_dump(scratch.interface)
