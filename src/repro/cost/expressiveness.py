@@ -8,35 +8,28 @@ size of the binding space as a (log-scaled) generality measure used by
 ablation benchmarks.
 
 Coverage asks, per (tree, member query) pair, whether *some* binding of the
-tree instantiates to the query.  It is answered target-first, in three steps:
-
-1. **narrow** — every choice node's domain shrinks to the values a matching
-   binding could need (:func:`narrowed_domains`);
-2. **enumerate** — only the narrowed product, through ``enumerate_bindings``;
-3. **verify** — a binding counts only when ``instantiate`` followed by
-   ``canonical_sql`` reproduces the target's canonical SQL exactly.
-
-Verification is the exact oracle, so narrowing can never invent a match; it
-is sound (never hides one) by the argument in :func:`narrowed_domains`.
+tree instantiates to the query; :func:`~repro.difftree.instantiate.find_binding_for`
+answers it (narrow → enumerate → verify by canonical SQL).  The cost model
+adds one policy of its own, :data:`BINDING_SPACE_CAP`, and memoizes the
+verdicts per tree structure.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from repro.difftree.builder import DifftreeForest
-from repro.difftree.canonical import canonical_form, canonical_sql
-from repro.difftree.instantiate import binding_space_size
-from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes
+from repro.difftree.canonical import canonical_sql
+from repro.difftree.instantiate import binding_space_size, find_binding_for
 from repro.difftree.signatures import structure_key
-from repro.sql.ast_nodes import ColumnRef, OrderItem, Select, SqlNode, TableRef
 
 #: Cost added per input query the interface cannot express.
 MISSING_QUERY_PENALTY = 10.0
 #: Trees whose binding space exceeds this are counted as not covering their
-#: queries without enumerating: such tangles of choice nodes are terrible
-#: interfaces anyway, and the penalty steers the search away from them cheaply.
+#: queries without asking the matcher: such tangles of choice nodes are
+#: terrible interfaces anyway, and the penalty steers the search away from
+#: them cheaply.  The cap is the cost model's policy; the matcher itself has
+#: no bound (docs/SEARCH.md records what removing the cap costs).
 BINDING_SPACE_CAP = 256
 
 
@@ -53,139 +46,15 @@ BINDING_SPACE_CAP = 256
 #: one.
 CoverageCache = dict
 
-_TARGET_KEYS_ATTR = "_repro_match_keys"
-
-
-def _match_key(node: SqlNode) -> tuple:
-    """What a node keeps of its label through instantiation and canonicalization.
-
-    Qualifier stripping rewrites column qualifiers and table aliases, so
-    column and table references compare by name alone; every other label
-    survives both steps unchanged (AND chains are rebuilt, but an AND node
-    stays an AND node).
-    """
-    if isinstance(node, (ColumnRef, TableRef)):
-        return (type(node).__name__, node.name)
-    return node.label()
-
-
-def _target_keys(query: SqlNode) -> frozenset:
-    """Match keys of every node of the query's canonical form, memoized on it."""
-    cached = getattr(query, _TARGET_KEYS_ATTR, None)
-    if cached is None:
-        cached = frozenset(_match_key(node) for node in canonical_form(query).walk())
-        object.__setattr__(query, _TARGET_KEYS_ATTR, cached)
-    return cached
-
-
-def _choice_free_keys(node: SqlNode) -> set | None:
-    """Match keys of a subtree, or None when it contains a choice node."""
-    keys = set()
-    for descendant in node.walk():
-        if isinstance(descendant, ChoiceNode):
-            return None
-        keys.add(_match_key(descendant))
-    return keys
-
-
-def narrowed_domains(tree: SqlNode, target: SqlNode) -> dict[str, list[Any]]:
-    """Per choice id, the values a binding needs to instantiate ``tree`` to ``target``.
-
-    Only choice nodes over *choice-free* subtrees narrow, and only when their
-    choice id is unique in the tree; every other node keeps its full domain
-    (it is absent from the result):
-
-    * an ANY keeps its alternatives that contain choice nodes, and those
-      choice-free alternatives whose match keys all occur in the target.  A
-      choice-free alternative that cannot reach the output — it is not an
-      ``OrderItem`` but lands in an ORDER BY list, which instantiation
-      filters — always survives.  If no choice-free alternative survives,
-      the first one is kept: the node must then be dead.
-    * an OPT whose choice-free child has a key missing from the target is
-      forced off — unless switching it off could empty the SELECT list of a
-      query other than the root, which raises instead of yielding a query.
-
-    Soundness: take a binding that reproduces the target and give one such
-    node a value outside its narrowed domain.  A choice-free subtree
-    instantiates to an equal copy of itself — never to None, never raising —
-    so if it reached the output its keys would occur in the target.  It
-    therefore did not: an ancestor dropped it.  Dropping does not depend on
-    the node's value (None-ness, the only thing ancestors look at, is
-    unchanged), so swapping in a kept choice-free alternative, or switching
-    the OPT off where that cannot raise, yields the same query.  Repeating
-    this node by node moves the binding into the narrowed product.  Target
-    keys come from the canonical AST, which equal canonical SQL pins down
-    (print-then-parse is the identity).
-    """
-    seen: set[str] = set()
-    repeated: set[str] = set()
-    for node in collect_choice_nodes(tree):
-        (repeated if node.choice_id in seen else seen).add(node.choice_id)
-    keys = _target_keys(target)
-    domains: dict[str, list[Any]] = {}
-
-    def visit(node: SqlNode, order_slot: bool, off_raises: bool) -> None:
-        if isinstance(node, AnyNode):
-            carrying: list[int] = []
-            free: list[int] = []
-            surviving: list[int] = []
-            for index, alternative in enumerate(node.alternatives):
-                alternative_keys = _choice_free_keys(alternative)
-                if alternative_keys is None:
-                    carrying.append(index)
-                    visit(alternative, order_slot, off_raises)
-                    continue
-                free.append(index)
-                dropped = order_slot and not isinstance(alternative, OrderItem)
-                if dropped or alternative_keys <= keys:
-                    surviving.append(index)
-            if node.choice_id not in repeated:
-                domains[node.choice_id] = sorted(carrying + (surviving or free[:1]))
-            return
-        if isinstance(node, OptNode):
-            child_keys = _choice_free_keys(node.child)
-            if child_keys is None:
-                visit(node.child, order_slot, off_raises)
-            elif not off_raises and node.choice_id not in repeated and not child_keys <= keys:
-                domains[node.choice_id] = [False]
-            return
-        if isinstance(node, Select):
-            nested = node is not tree
-            for item in node.select_items:
-                visit(item, False, nested)
-            for item in node.order_by:
-                visit(item, True, False)
-            for value in (node.from_clause, node.where, node.having, *node.group_by, *node.ctes):
-                if value is not None:
-                    visit(value, False, False)
-            return
-        for child in node.children():
-            visit(child, False, off_raises)
-
-    visit(tree, False, False)
-    return domains
-
 
 def _query_covered(tree, query, tree_key, cache: CoverageCache | None) -> bool:
-    target_sql = canonical_sql(query)
     key = None
     if cache is not None:
-        key = (tree_key, target_sql)
+        key = (tree_key, canonical_sql(query))
         cached = cache.get(key)
         if cached is not None:
             return cached
-    covered = False
-    if binding_space_size(tree) <= BINDING_SPACE_CAP:
-        # Looked up at call time so tracing wrappers see every call.
-        from repro.difftree.instantiate import enumerate_bindings, instantiate
-
-        for bindings in enumerate_bindings(tree, domains=narrowed_domains(tree, query)):
-            try:
-                if canonical_sql(instantiate(tree, bindings)) == target_sql:
-                    covered = True
-                    break
-            except Exception:  # noqa: BLE001 - skip broken/unrenderable bindings
-                continue
+    covered = binding_space_size(tree) <= BINDING_SPACE_CAP and find_binding_for(tree, query) is not None
     if cache is not None:
         cache[key] = covered
     return covered

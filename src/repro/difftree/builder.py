@@ -20,6 +20,7 @@ from repro.difftree.canonical import canonical_form, queries_share_source, struc
 from repro.difftree.diff import merge_nodes
 from repro.difftree.instantiate import covers
 from repro.difftree.nodes import collect_choice_nodes
+from repro.difftree.signatures import structure_key
 from repro.difftree.transformations import normalize_difftree
 from repro.sql.ast_nodes import Select, SqlNode
 from repro.sql.parser import parse_select
@@ -82,24 +83,21 @@ class DifftreeForest:
         updated.trees[index] = tree
         return updated
 
-    def covers_all(self, limit: int = 4096) -> bool:
+    def covers_all(self) -> bool:
         """True when every input query is expressible by the tree that owns it."""
-        for index, member_indices in enumerate(self.members):
-            tree_queries = [self.queries[i] for i in member_indices]
-            if not covers(self.trees[index], tree_queries, limit=limit):
-                return False
-        return True
+        return all(covers(tree, self.queries_for_tree(index)) for index, tree in enumerate(self.trees))
 
     def signature(self) -> tuple:
-        """Hashable identity of the forest structure (used by search visited-sets).
+        """The forest's exact identity: per tree, its members and structure key.
 
-        Per-tree fingerprints are memoized on the tree objects (see
-        :mod:`repro.difftree.signatures`), so re-signing a forest after an
-        action only pays for the one or two trees the action created.
+        Two forests share a signature exactly when they cover the same queries
+        with the same trees up to a renaming of choice ids (see
+        :func:`~repro.difftree.signatures.structure_key`), so merges replayed
+        with fresh ids share one entry of the search's evaluation memo and
+        visited-sets.  The keys are memoized on the trees, so re-signing a
+        forest after an action costs O(trees).
         """
-        from repro.difftree.signatures import forest_signature
-
-        return forest_signature(self)
+        return tuple((tuple(members), structure_key(tree)) for members, tree in zip(self.members, self.trees))
 
 
 def parse_query_log(queries: Sequence[str | SqlNode]) -> list[Select]:

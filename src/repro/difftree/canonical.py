@@ -146,18 +146,6 @@ def tree_size(node: SqlNode) -> int:
     return sum(1 for _ in node.walk())
 
 
-def tree_fingerprint(node: SqlNode) -> str:
-    """A stable textual fingerprint of a tree (its rendered SQL when possible).
-
-    Delegates to :mod:`repro.difftree.signatures`, which memoizes the
-    fingerprint on the node object — the value is unchanged, computing it
-    twice is now free.
-    """
-    from repro.difftree.signatures import tree_fingerprint as cached_fingerprint
-
-    return cached_fingerprint(node)
-
-
 def _similarity_key(node: SqlNode) -> tuple:
     """``(label, child keys)`` of a subtree, memoized on the node.
 

@@ -12,6 +12,11 @@ plain SQL AST, taking care of structural fall-out: an OPT node switched off
 removes its subtree, which may collapse an AND chain or drop a SELECT item.
 This is exactly the mechanism interface widgets use at runtime — a widget
 updates a binding, PI2 re-instantiates the query and re-executes it.
+
+:func:`find_binding_for` answers the inverse question — which binding, if
+any, reproduces a given query — and is the one coverage matcher: ``covers``,
+``expressiveness_ratio``, ``DifftreeForest.covers_all`` and the cost model's
+expressiveness term all ask it.
 """
 
 from __future__ import annotations
@@ -20,13 +25,16 @@ import itertools
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.errors import BindingError
-from repro.difftree.nodes import AnyNode, OptNode, collect_choice_nodes
+from repro.difftree.canonical import canonical_form, canonical_sql
+from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes
 from repro.sql.ast_nodes import (
     BinaryOp,
+    ColumnRef,
     OrderItem,
     Select,
     SelectItem,
     SqlNode,
+    TableRef,
 )
 
 Binding = Mapping[str, Any]
@@ -80,10 +88,9 @@ def binding_space_size(tree: SqlNode) -> int:
 
 def enumerate_bindings(
     tree: SqlNode,
-    limit: int | None = None,
     domains: Mapping[str, Sequence[Any]] | None = None,
 ) -> Iterator[dict[str, Any]]:
-    """Enumerate bindings (optionally capped at ``limit`` combinations).
+    """Enumerate bindings, every choice node over its domain.
 
     ``domains`` narrows the values enumerated for some choice nodes (choice
     id → values, in enumeration order); every other choice node ranges over
@@ -98,11 +105,7 @@ def enumerate_bindings(
             values.append(range(node.cardinality))
         else:
             values.append((True, False))
-    count = 0
     for combination in itertools.product(*values):
-        if limit is not None and count >= limit:
-            return
-        count += 1
         yield {node.choice_id: value for node, value in zip(choices, combination)}
 
 
@@ -240,40 +243,160 @@ def instantiate_and_execute(tree: SqlNode, catalog, bindings: Binding | None = N
     return catalog.execute(query)
 
 
+
+
 # --------------------------------------------------------------------------- #
 # Coverage: can the Difftree express a given query?
 # --------------------------------------------------------------------------- #
 
+_TARGET_KEYS_ATTR = "_repro_match_keys"
 
-def find_binding_for(tree: SqlNode, target: SqlNode, limit: int = 4096) -> dict[str, Any] | None:
-    """Search for a binding under which ``tree`` instantiates to ``target``.
 
-    Queries are compared in canonical form (AND chains flattened to a left-deep
-    shape) so that equivalent parenthesizations count as the same query.
-    Returns the binding, or None if no binding (within ``limit`` combinations)
-    reproduces the target query.
+def _match_key(node: SqlNode) -> tuple:
+    """What a node keeps of its label through instantiation and canonicalization.
+
+    Qualifier stripping rewrites column qualifiers and table aliases, so
+    column and table references compare by name alone; every other label
+    survives both steps unchanged (AND chains are rebuilt, but an AND node
+    stays an AND node).
     """
-    from repro.difftree.canonical import canonical_form
+    if isinstance(node, (ColumnRef, TableRef)):
+        return (type(node).__name__, node.name)
+    return node.label()
 
-    canonical_target = canonical_form(target)
-    for bindings in enumerate_bindings(tree, limit=limit):
+
+def _target_keys(query: SqlNode) -> frozenset:
+    """Match keys of every node of the query's canonical form, memoized on it."""
+    cached = getattr(query, _TARGET_KEYS_ATTR, None)
+    if cached is None:
+        cached = frozenset(_match_key(node) for node in canonical_form(query).walk())
+        object.__setattr__(query, _TARGET_KEYS_ATTR, cached)
+    return cached
+
+
+def _choice_free_keys(node: SqlNode) -> set | None:
+    """Match keys of a subtree, or None when it contains a choice node."""
+    keys = set()
+    for descendant in node.walk():
+        if isinstance(descendant, ChoiceNode):
+            return None
+        keys.add(_match_key(descendant))
+    return keys
+
+
+def narrowed_domains(tree: SqlNode, target: SqlNode) -> dict[str, list[Any]]:
+    """Per choice id, the values a binding needs to instantiate ``tree`` to ``target``.
+
+    Only choice nodes over *choice-free* subtrees narrow, and only when their
+    choice id is unique in the tree; every other node keeps its full domain
+    (it is absent from the result):
+
+    * an ANY keeps its alternatives that contain choice nodes, and those
+      choice-free alternatives whose match keys all occur in the target.  A
+      choice-free alternative that cannot reach the output — it is not an
+      ``OrderItem`` but lands in an ORDER BY list, which instantiation
+      filters — always survives.  If no choice-free alternative survives,
+      the first one is kept: the node must then be dead.
+    * an OPT whose choice-free child has a key missing from the target is
+      forced off — unless switching it off could empty the SELECT list of a
+      query other than the root, which raises instead of yielding a query.
+
+    Soundness: take a binding that reproduces the target and give one such
+    node a value outside its narrowed domain.  A choice-free subtree
+    instantiates to an equal copy of itself — never to None, never raising —
+    so if it reached the output its keys would occur in the target.  It
+    therefore did not: an ancestor dropped it.  Dropping does not depend on
+    the node's value (None-ness, the only thing ancestors look at, is
+    unchanged), so swapping in a kept choice-free alternative, or switching
+    the OPT off where that cannot raise, yields the same query.  Repeating
+    this node by node moves the binding into the narrowed product.  Target
+    keys come from the canonical AST, which equal canonical SQL pins down
+    (print-then-parse is the identity).
+    """
+    seen: set[str] = set()
+    repeated: set[str] = set()
+    for node in collect_choice_nodes(tree):
+        (repeated if node.choice_id in seen else seen).add(node.choice_id)
+    keys = _target_keys(target)
+    domains: dict[str, list[Any]] = {}
+
+    def visit(node: SqlNode, order_slot: bool, off_raises: bool) -> None:
+        if isinstance(node, AnyNode):
+            carrying: list[int] = []
+            free: list[int] = []
+            surviving: list[int] = []
+            for index, alternative in enumerate(node.alternatives):
+                alternative_keys = _choice_free_keys(alternative)
+                if alternative_keys is None:
+                    carrying.append(index)
+                    visit(alternative, order_slot, off_raises)
+                    continue
+                free.append(index)
+                dropped = order_slot and not isinstance(alternative, OrderItem)
+                if dropped or alternative_keys <= keys:
+                    surviving.append(index)
+            if node.choice_id not in repeated:
+                domains[node.choice_id] = sorted(carrying + (surviving or free[:1]))
+            return
+        if isinstance(node, OptNode):
+            child_keys = _choice_free_keys(node.child)
+            if child_keys is None:
+                visit(node.child, order_slot, off_raises)
+            elif not off_raises and node.choice_id not in repeated and not child_keys <= keys:
+                domains[node.choice_id] = [False]
+            return
+        if isinstance(node, Select):
+            nested = node is not tree
+            for item in node.select_items:
+                visit(item, False, nested)
+            for item in node.order_by:
+                visit(item, True, False)
+            for value in (node.from_clause, node.where, node.having, *node.group_by, *node.ctes):
+                if value is not None:
+                    visit(value, False, False)
+            return
+        for child in node.children():
+            visit(child, False, off_raises)
+
+    visit(tree, False, False)
+    return domains
+
+
+def find_binding_for(tree: SqlNode, target: SqlNode) -> dict[str, Any] | None:
+    """The first binding under which ``tree`` instantiates to ``target``, or None.
+
+    Answered target-first, in three steps:
+
+    1. **narrow** — every choice node's domain shrinks to the values a
+       matching binding could need (:func:`narrowed_domains`);
+    2. **enumerate** — only the narrowed product, through
+       :func:`enumerate_bindings`;
+    3. **verify** — a binding counts only when :func:`instantiate` followed by
+       ``canonical_sql`` reproduces the target's canonical SQL exactly, so
+       ``1``, ``1.0`` and ``TRUE`` are three different queries.  A binding
+       whose instantiation or rendering raises is skipped.
+
+    Verification is the exact oracle, so narrowing can never invent a match;
+    it is sound (never hides one) by the argument in :func:`narrowed_domains`.
+    """
+    target_sql = canonical_sql(target)
+    for bindings in enumerate_bindings(tree, domains=narrowed_domains(tree, target)):
         try:
-            candidate = instantiate(tree, bindings)
-        except BindingError:
+            if canonical_sql(instantiate(tree, bindings)) == target_sql:
+                return bindings
+        except Exception:  # noqa: BLE001 - skip broken/unrenderable bindings
             continue
-        if candidate == target or canonical_form(candidate) == canonical_target:
-            return bindings
     return None
 
 
-def covers(tree: SqlNode, queries: Sequence[SqlNode], limit: int = 4096) -> bool:
+def covers(tree: SqlNode, queries: Sequence[SqlNode]) -> bool:
     """True when every query in ``queries`` is expressible by ``tree``."""
-    return all(find_binding_for(tree, query, limit=limit) is not None for query in queries)
+    return all(find_binding_for(tree, query) is not None for query in queries)
 
 
-def expressiveness_ratio(tree: SqlNode, queries: Sequence[SqlNode], limit: int = 4096) -> float:
+def expressiveness_ratio(tree: SqlNode, queries: Sequence[SqlNode]) -> float:
     """Fraction of ``queries`` the Difftree can express exactly."""
     if not queries:
         return 1.0
-    covered = sum(1 for query in queries if find_binding_for(tree, query, limit=limit) is not None)
+    covered = sum(1 for query in queries if find_binding_for(tree, query) is not None)
     return covered / len(queries)

@@ -5,10 +5,6 @@ The search layer evaluates thousands of candidate forests, but each action
 the rest of the forest is *structure-shared* by object identity.  Signatures
 turn that sharing into cache hits:
 
-* :func:`tree_fingerprint` — the legacy textual fingerprint used by forest
-  signatures and the search's evaluation memo (rendered SQL when possible).
-  It is computed once per tree *object* and memoized on the node itself, so
-  ``forest.signature()`` costs a handful of attribute lookups.
 * :func:`tree_signature` — a *precise* structural signature (node labels,
   which include choice ids and OPT defaults, plus tree shape).
 * :func:`structural_signature` — the same with choice ids erased.
@@ -21,6 +17,9 @@ turn that sharing into cache hits:
   :class:`ExactKey`, which hashes once and compares exactly:
   :func:`tree_key` (ids included) and :func:`structure_key` (ids erased,
   choice-id sharing pattern added).  Both are memoized on the root node.
+* a forest's identity, ``DifftreeForest.signature()``, is per tree its
+  members plus :func:`structure_key`; the search's evaluation memo and
+  visited-sets key on it.
 * signatures compare **by value**: equal trees reached along different
   action sequences get equal keys and so share cache entries, whichever
   tuple object each rollout happened to build.  Nothing process-global holds
@@ -35,7 +34,6 @@ equality and hashing are unaffected.
 
 from __future__ import annotations
 
-import sys
 import threading
 from typing import Any, Hashable
 
@@ -45,39 +43,8 @@ from repro.sql.ast_nodes import SqlNode
 _MISSING = object()
 
 #: Memo attribute names stashed on AST nodes (not dataclass fields).
-_FINGERPRINT_ATTR = "_repro_fingerprint"
 _SIGNATURE_ATTR = "_repro_signature"
 _STRUCTURAL_ATTR = "_repro_structural"
-
-
-def _compute_fingerprint(node: SqlNode) -> str:
-    from repro.sql.printer import to_sql
-
-    try:
-        return to_sql(node)
-    except Exception:  # noqa: BLE001 - choice nodes are not renderable as SQL
-        parts = []
-        for descendant in node.walk():
-            parts.append(type(descendant).__name__)
-        return "|".join(parts)
-
-
-def tree_fingerprint(node: SqlNode) -> str:
-    """A stable textual fingerprint of a tree (its rendered SQL when possible).
-
-    Memoized per node object and interned, so repeated forest signatures are
-    nearly free.  The fingerprint value is identical to what
-    :func:`repro.difftree.canonical.tree_fingerprint` historically produced.
-    """
-    cached = getattr(node, _FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
-    fingerprint = sys.intern(_compute_fingerprint(node))
-    try:
-        object.__setattr__(node, _FINGERPRINT_ATTR, fingerprint)
-    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
-        pass
-    return fingerprint
 
 
 class ExactKey:
@@ -246,38 +213,6 @@ def structure_key(node: SqlNode) -> ExactKey:
     key = ExactKey((structural_signature(node), choice_sharing(node)))
     object.__setattr__(node, "_repro_structure_key", key)
     return key
-
-
-def forest_signature(forest) -> tuple:
-    """Hashable identity of a forest: per-tree fingerprints plus membership.
-
-    This is the (unchanged) value of ``DifftreeForest.signature()``; the
-    per-tree fingerprints come from the node memo so recomputing a forest
-    signature after an action costs O(trees), not O(nodes).
-
-    Caveat: for trees *with choice nodes* the legacy fingerprint falls back
-    to a type-name walk, so structurally different difftrees can collide.
-    The historical search strategies (and their evaluation memo / visited
-    sets) deliberately keep this granularity for reproducibility; new code
-    that needs exact forest identity should use
-    :func:`precise_forest_signature` instead.
-    """
-    return tuple(
-        (tuple(members), tree_fingerprint(tree))
-        for members, tree in zip(forest.members, forest.trees)
-    )
-
-
-def precise_forest_signature(forest) -> tuple:
-    """Exact forest identity: per-tree precise keys plus membership.
-
-    Unlike :func:`forest_signature` this never collides distinct structures
-    (choice ids, OPT defaults and literals all participate); the beam
-    strategy keys its visited-set on it.
-    """
-    return tuple(
-        (tuple(members), tree_key(tree)) for members, tree in zip(forest.members, forest.trees)
-    )
 
 
 class LruDict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import TransformationError
-from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes
+from repro.difftree.nodes import AnyNode, ChoiceNode, collect_choice_nodes
 from repro.sql.ast_nodes import SqlNode
 from repro.sql.visitor import transform
 
@@ -112,17 +112,6 @@ def flatten_nested_any(tree: SqlNode) -> SqlNode:
     return transform(tree, rewrite)
 
 
-def toggle_opt_default(tree: SqlNode, choice_id: str) -> SqlNode:
-    """Flip the default state of an OPT node (changes the initial interface view)."""
-
-    def rewrite(node: SqlNode) -> SqlNode | None:
-        if isinstance(node, OptNode) and node.choice_id == choice_id:
-            return OptNode(child=node.child, default_on=not node.default_on, choice_id=node.choice_id)
-        return None
-
-    return transform(tree, rewrite)
-
-
 def normalize_difftree(tree: SqlNode) -> SqlNode:
     """Cleanup pass applied after merges/transformations."""
     return inline_singleton_any(flatten_nested_any(tree))
@@ -160,14 +149,6 @@ def applicable_transformations(tree: SqlNode) -> list[Transformation]:
                     apply=lambda t, cid=node.choice_id: normalize_difftree(
                         factor_common_root(t, cid)
                     ),
-                )
-            )
-        if isinstance(node, OptNode):
-            transformations.append(
-                Transformation(
-                    rule="toggle_opt_default",
-                    choice_id=node.choice_id,
-                    apply=lambda t, cid=node.choice_id: toggle_opt_default(t, cid),
                 )
             )
     return transformations

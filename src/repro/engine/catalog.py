@@ -564,13 +564,15 @@ class CatalogSnapshot:
     ) -> None:
         """Attach shared caches to a detached (unpickled) snapshot.
 
-        The worker handshake: a worker process holding snapshots at several
-        fingerprints shares one result cache (keys embed the pinned version,
-        so entries never collide), one parse memo, one set of structure
-        caches (keys carry the schemas, catalog id and data version wherever
-        a fact depends on them), and one compiled-plan cache **per schema
-        version** (plans bake in table-set analysis, so they are only
-        reusable while the schema component of the fingerprint is unchanged).
+        The worker handshake: a worker process shares one parse memo and one
+        set of structure caches (keys carry the schemas, catalog id and data
+        version wherever a fact depends on them) across every snapshot it
+        holds, one result cache across the snapshots of one catalog (keys
+        embed the pinned data version, which only orders versions within one
+        catalog lineage: two catalogs can report equal versions), and one
+        compiled-plan cache **per catalog and schema version** (plans bake in
+        table-set analysis, so they are only reusable while the schema
+        component of the fingerprint is unchanged).
         """
         if plan_cache is not None:
             self._plan_cache = plan_cache

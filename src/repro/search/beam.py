@@ -11,14 +11,9 @@ frontier is bounded, so the work per depth is ``O(k · branching)``.
 Beam search is the strategy that benefits most from incremental evaluation:
 sibling candidates in one frontier expansion share all but one or two trees
 with their parent, so per-tree caches turn a frontier sweep into mostly
-O(changed trees) work.
-
-Being new code with no reproducibility debt, beam uses *exact* state
-identity: its visited-set keys on :func:`precise_forest_signature` (the
-legacy fingerprint collides structurally different choice trees), and
-successor evaluations bypass the legacy-keyed forest memo (per-tree caches
-still apply; the visited-set already guarantees each distinct state is
-evaluated at most once).
+O(changed trees) work.  The visited-set keys on the forest's exact identity,
+``DifftreeForest.signature()``, as the evaluation memo does, so each distinct
+state is evaluated once.
 
 Determinism: candidates are ranked by (cost, discovery order), so a fixed
 query log always yields the same interface — there is no randomness at all.
@@ -26,7 +21,6 @@ query log always yields the same interface — there is no randomness at all.
 
 from __future__ import annotations
 
-from repro.difftree.signatures import precise_forest_signature
 from repro.errors import SearchError
 from repro.search.space import SearchResult, SearchSpace
 
@@ -47,56 +41,30 @@ def beam_search(
 
     initial = space.initial_state
     best_forest = initial
-    best_evaluation = space.evaluate(initial)
-    best_cost = best_evaluation.total_cost
+    best_cost = space.evaluate(initial).total_cost
     best_trace: list[str] = []
 
-    visited = {precise_forest_signature(initial)}
+    visited = {initial.signature()}
     # Frontier entries: (cost, discovery order, forest, trace).
     beam = [(best_cost, 0, initial, [])]
 
     for _depth in range(max_depth):
         candidates = []
-        discovered = 0
         for _cost, _order, forest, trace in beam:
             space.stats.states_expanded += 1
             for action in space.actions(forest):
                 successor = space.apply(forest, action)
-                signature = precise_forest_signature(successor)
+                signature = successor.signature()
                 if signature in visited:
                     continue
                 visited.add(signature)
-                evaluation = space.evaluate(
-                    successor, changed=action.touched, use_cache=False
-                )
-                candidates.append(
-                    (
-                        evaluation.total_cost,
-                        discovered,
-                        successor,
-                        trace + [action.description],
-                        evaluation,
-                    )
-                )
-                discovered += 1
+                cost = space.evaluate(successor, changed=action.touched).total_cost
+                candidates.append((cost, len(candidates), successor, trace + [action.description]))
         if not candidates:
             break
         candidates.sort(key=lambda entry: (entry[0], entry[1]))
-        beam = [entry[:4] for entry in candidates[:width]]
-        frontier = candidates[0]
-        if frontier[0] < best_cost:
-            best_cost = frontier[0]
-            best_forest = frontier[2]
-            best_trace = frontier[3]
-            best_evaluation = frontier[4]
+        beam = candidates[:width]
+        if beam[0][0] < best_cost:
+            best_cost, _order, best_forest, best_trace = beam[0]
 
-    # Build the result from the held evaluation: a final evaluate() round
-    # trip could hand back a legacy-fingerprint-colliding neighbour's entry.
-    return SearchResult(
-        interface=best_evaluation.interface,
-        cost=best_evaluation.cost,
-        forest=best_forest,
-        stats=space.stats,
-        strategy="beam",
-        action_trace=best_trace,
-    )
+    return space.result(best_forest, strategy="beam", action_trace=best_trace)

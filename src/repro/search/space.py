@@ -7,12 +7,15 @@ actions available in a state are
   count, introduces choice nodes),
 * every applicable tree transformation from
   :mod:`repro.difftree.transformations` (factoring shared structure above an
-  ANY node, flipping an OPT default).
+  ANY node).
 
 Evaluating a state maps the forest to a candidate interface (the mapping step)
-and scores it with the cost model; evaluations are memoized by forest
-signature, so the different search strategies can be compared on the number of
-*distinct* candidates they explore.
+and scores it with the cost model; evaluations are memoized on the forest's
+exact identity (:meth:`DifftreeForest.signature`: per tree, its members and
+structure key), so the different search strategies can be compared on the
+number of *distinct* candidates they explore.  The memo lives for one
+generation and is not bounded: it holds at most one entry per evaluation the
+strategy's budget allows.
 
 Evaluation is **incremental**: every action touches one or two trees (its
 :attr:`Action.touched` delta) while the rest of the forest is structure-shared
@@ -281,7 +284,6 @@ class SearchSpace:
         self,
         forest: DifftreeForest,
         changed: tuple[int, ...] | None = None,
-        use_cache: bool = True,
     ) -> Evaluation:
         """Map the forest to an interface and cost it (memoized).
 
@@ -294,15 +296,17 @@ class SearchSpace:
         actually happened (a changed chart context, say, forces widget-piece
         recomputation regardless of the delta).
 
-        ``use_cache=False`` bypasses the forest-level memo (but not the
-        per-tree caches) — the beam strategy and the differential test
-        harness use it where the memo's historical fingerprint granularity
-        would get in the way.
+        The memo ignores choice ids, so a hit may return the evaluation of a
+        forest that differs from this one only in its ids: same cost and row
+        counts, but an interface whose widgets bind the other forest's ids.
+        Strategies read only the cost; :meth:`result` maps the forest it
+        returns.
         """
         key = forest.signature()
-        if use_cache and key in self._cache:
+        cached = self._cache.get(key)
+        if cached is not None:
             self.stats.cache_hits += 1
-            return self._cache[key]
+            return cached
         started = time.perf_counter()
         profile_stats = self.mapping_caches.profiles
         hits_before = profile_stats.hits
@@ -317,8 +321,7 @@ class SearchSpace:
         evaluation = Evaluation(
             interface=interface, cost=cost, data_rows=self._profile_data(forest)
         )
-        if use_cache:
-            self._cache[key] = evaluation
+        self._cache[key] = evaluation
         self.stats.evaluations += 1
         self.stats.tree_evals_reused += profile_stats.hits - hits_before
         self.stats.tree_evals_computed += profile_stats.misses - misses_before
@@ -396,9 +399,12 @@ class SearchSpace:
     def result(
         self, forest: DifftreeForest, strategy: str, action_trace: list[str] | None = None
     ) -> SearchResult:
+        """The search's answer: ``forest``, its cost and its own interface."""
         evaluation = self.evaluate(forest)
         return SearchResult(
-            interface=evaluation.interface,
+            interface=map_forest_to_interface(
+                forest, self.table_schemas, self.mapping_config, caches=self.mapping_caches
+            ),
             cost=evaluation.cost,
             forest=forest,
             stats=self.stats,

@@ -142,20 +142,22 @@ def _run_task(
 class _WorkerState:
     """Per-process snapshot cache + shared execution caches.
 
-    Snapshots are cached by ``(catalog_id, fingerprint)``; the result cache,
-    parse memo and structure caches are shared across fingerprints (result
-    keys embed the pinned version, parsing and coverage verdicts are
-    version-independent, and the other structure caches key on the schemas
-    or on the catalog id plus data version, so they hold across catalogs
-    too), and compiled-plan caches are shared **per schema version** — a
-    plan bakes in table-set analysis, so it survives data-version bumps but
-    not register/drop/replace.
+    Snapshots are cached by ``(catalog_id, fingerprint)``.  The parse memo
+    and structure caches are shared across catalogs (parsing and coverage
+    verdicts are version-independent, and the other structure caches key on
+    the schemas or on the catalog id plus data version).  Result caches are
+    shared **per catalog id** — result keys embed the data version, which is
+    local to one catalog lineage, so two catalogs at equal versions would
+    otherwise read each other's results — and compiled-plan caches **per
+    (catalog id, schema version)**: a plan bakes in table-set analysis, so it
+    survives data-version bumps but not register/drop/replace.  Both are
+    dropped with the last snapshot that uses them.
     """
 
     def __init__(self, capacity: int = SNAPSHOT_CACHE_CAPACITY) -> None:
         self.capacity = capacity
         self.snapshots: OrderedDict[tuple, CatalogSnapshot] = OrderedDict()
-        self.query_cache = QueryCache(capacity=512)
+        self.query_caches: dict[int, QueryCache] = {}
         self.parse = DetachedParser()
         self.structure_caches = StructureCaches(SharedLruDict)
         self.plan_caches: dict[tuple, dict] = {}
@@ -169,22 +171,26 @@ class _WorkerState:
     def admit(self, key: tuple, payload: bytes) -> CatalogSnapshot:
         snapshot: CatalogSnapshot = pickle.loads(payload)
         plan_key = (key[0], snapshot.schema_version())
+        if key[0] not in self.query_caches:
+            self.query_caches[key[0]] = QueryCache(capacity=512)
         snapshot.attach_caches(
             plan_cache=self.plan_caches.setdefault(plan_key, {}),
-            query_cache=self.query_cache,
+            query_cache=self.query_caches[key[0]],
             parse=self.parse,
             structure_caches=self.structure_caches,
         )
         self.snapshots[key] = snapshot
         self.snapshots.move_to_end(key)
         while len(self.snapshots) > self.capacity:
-            evicted_key, _ = self.snapshots.popitem(last=False)
-            self._drop_unreferenced_plan_cache(evicted_key)
+            self.snapshots.popitem(last=False)
+            self._drop_unreferenced_caches()
         return snapshot
 
-    def _drop_unreferenced_plan_cache(self, evicted_key: tuple) -> None:
+    def _drop_unreferenced_caches(self) -> None:
         live = {(key[0], snap.schema_version()) for key, snap in self.snapshots.items()}
         self.plan_caches = {k: v for k, v in self.plan_caches.items() if k in live}
+        catalog_ids = {key[0] for key in self.snapshots}
+        self.query_caches = {k: v for k, v in self.query_caches.items() if k in catalog_ids}
 
     def cached_keys(self) -> list[tuple]:
         return list(self.snapshots.keys())

@@ -56,7 +56,12 @@ from repro.datasets import (
 )
 from repro.difftree.builder import build_forest
 from repro.difftree.canonical import canonical_sql, canonicalize
-from repro.difftree.instantiate import binding_space_size, enumerate_bindings, instantiate
+from repro.difftree.instantiate import (
+    binding_space_size,
+    enumerate_bindings,
+    instantiate,
+    narrowed_domains,
+)
 from repro.difftree.nodes import AnyNode, OptNode
 from repro.difftree.signatures import structural_signature
 from repro.difftree.transformations import applicable_transformations
@@ -516,7 +521,7 @@ def test_the_fall_out_shapes_really_raise():
 def test_narrowing_enumerates_fewer_bindings():
     """The point of narrowing: a literal slider is settled by one binding."""
     tree = _literal_any(200)
-    domains = expressiveness.narrowed_domains(tree, q("SELECT a FROM t WHERE x = 150"))
+    domains = narrowed_domains(tree, q("SELECT a FROM t WHERE x = 150"))
     assert list(domains.values()) == [[150]]
 
 

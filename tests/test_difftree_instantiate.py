@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from repro.cost.expressiveness import forest_covered_count
 from repro.difftree import (
     AnyNode,
     OptNode,
     binding_space_size,
     build_forest,
     collect_choice_nodes,
+    covers,
     default_bindings,
     enumerate_bindings,
     expressiveness_ratio,
@@ -19,9 +23,10 @@ from repro.difftree import (
     parse_query_log,
 )
 from repro.errors import BindingError, DifftreeError
-from repro.sql.ast_nodes import Select
+from repro.sql.ast_nodes import Literal, Select
 from repro.sql.parser import parse_select
 from repro.sql.printer import to_sql
+from repro.sql.visitor import transform
 
 
 @pytest.fixture()
@@ -85,14 +90,13 @@ class TestBindings:
 
     def test_enumerate_bindings_respects_limit(self, opt_tree):
         tree, _q1, _q2 = opt_tree
-        assert len(list(enumerate_bindings(tree, limit=1))) == 1
         assert len(list(enumerate_bindings(tree))) == binding_space_size(tree)
 
 
 class TestInstantiationStructure:
     def test_instantiation_always_yields_select(self, fig2_queries):
         tree = build_forest(fig2_queries, strategy="merged").trees[0]
-        for bindings in enumerate_bindings(tree, limit=64):
+        for bindings in itertools.islice(enumerate_bindings(tree), 64):
             query = instantiate(tree, bindings)
             assert isinstance(query, Select)
             # Every instantiation must be printable, re-parseable SQL.
@@ -143,3 +147,33 @@ class TestCoverage:
     def test_covid_forest_covers_log(self, covid_log):
         forest = build_forest(covid_log, strategy="clustered")
         assert forest.covers_all()
+
+    def test_covers_all_agrees_with_the_cost_model_on_literal_types(self):
+        """``1000`` and ``1000.0`` merge into one tree, which renders only the first."""
+        forest = build_forest(
+            [
+                "SELECT date FROM covid_cases WHERE cases > 1000",
+                "SELECT date FROM covid_cases WHERE cases > 1000.0",
+            ],
+            strategy="merged",
+        )
+        assert forest.tree_count == 1 and forest.choice_count() == 0
+        assert forest_covered_count(forest) == 1
+        assert not forest.covers_all()
+
+    def test_find_binding_for_tells_an_integer_from_a_boolean(self):
+        tree = parse_select("SELECT date FROM covid_cases WHERE cases = 1")
+        assert find_binding_for(tree, parse_select("SELECT date FROM covid_cases WHERE cases = TRUE")) is None
+        assert find_binding_for(tree, parse_select("SELECT date FROM covid_cases WHERE cases = 1")) == {}
+
+    def test_find_binding_for_has_no_enumeration_limit(self):
+        """The last of 5000 literal alternatives lies past any fixed cap on bindings tried."""
+        choice = AnyNode(alternatives=[Literal(value) for value in range(5000)])
+        tree = transform(
+            parse_select("SELECT a FROM t WHERE x = 0"),
+            lambda node: choice if isinstance(node, Literal) else None,
+        )
+        target = parse_select("SELECT a FROM t WHERE x = 4999")
+        assert find_binding_for(tree, target) == {choice.choice_id: 4999}
+        assert covers(tree, [target, parse_select("SELECT a FROM t WHERE x = 0")])
+        assert expressiveness_ratio(tree, [target, parse_select("SELECT a FROM t WHERE x = 5000")]) == 0.5

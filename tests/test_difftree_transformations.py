@@ -20,7 +20,6 @@ from repro.difftree import (
     merge_nodes,
     normalize_difftree,
     parse_query_log,
-    toggle_opt_default,
 )
 from repro.errors import TransformationError
 from repro.sql.ast_nodes import BinaryOp, ColumnRef, Literal
@@ -117,23 +116,14 @@ class TestCleanupRules:
         nested = AnyNode(alternatives=[AnyNode(alternatives=[Literal(1)])])
         assert normalize_difftree(nested) == Literal(1)
 
-    def test_toggle_opt_default(self):
-        q1 = parse_select("SELECT a FROM t WHERE a = 1")
-        q2 = parse_select("SELECT a FROM t")
-        tree = merge_nodes(q1, q2)
-        opt = collect_choice_nodes(tree)[0]
-        assert isinstance(opt, OptNode)
-        toggled = toggle_opt_default(tree, opt.choice_id)
-        new_opt = collect_choice_nodes(toggled)[0]
-        assert new_opt.default_on != opt.default_on
-        assert new_opt.choice_id == opt.choice_id
-
 
 class TestApplicableTransformations:
     def test_enumeration_contains_factor_and_toggle(self, fig2_queries):
+        """Factoring is offered; no rule flips an OPT default (the tree has one OPT)."""
         forest = build_forest(fig2_queries, strategy="merged")
+        assert any(isinstance(node, OptNode) for node in collect_choice_nodes(forest.trees[0]))
         rules = {t.rule for t in applicable_transformations(forest.trees[0])}
-        assert "toggle_opt_default" in rules
+        assert rules == {"factor_common_root"}
 
     def test_no_transformations_for_choice_free_tree(self):
         tree = parse_select("SELECT a FROM t")

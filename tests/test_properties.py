@@ -123,7 +123,7 @@ class TestDifftreeProperties:
     @given(select_queries(), select_queries())
     def test_merge_covers_both_inputs(self, first, second):
         merged = merge_nodes(first, second)
-        assert covers(merged, [first, second], limit=512)
+        assert covers(merged, [first, second])
 
     @SETTINGS
     @given(select_queries(), select_queries())

@@ -131,7 +131,8 @@ class TestIncrementalEqualsFull:
         # Warm the caches with an unrelated evaluation history first.
         mcts_search(warm, iterations=8, seed=seed)
         for forest, action in random_walk(warm, rng, steps=4):
-            incremental = warm.evaluate(forest, changed=action.touched, use_cache=False)
+            warm._cache.clear()  # evaluate afresh, through the warm per-tree caches
+            incremental = warm.evaluate(forest, changed=action.touched)
             cold_catalog = fresh_catalog(covid_catalog)
             cold = make_space(cold_catalog, covid_log[:4], catalog=cold_catalog)
             scratch = cold.evaluate(forest)
@@ -145,7 +146,8 @@ class TestIncrementalEqualsFull:
         warm = make_space(sdss_catalog, sdss_log)
         mcts_search(warm, iterations=10, seed=seed)
         for forest, action in random_walk(warm, rng, steps=5):
-            incremental = warm.evaluate(forest, changed=action.touched, use_cache=False)
+            warm._cache.clear()  # evaluate afresh, through the warm per-tree caches
+            incremental = warm.evaluate(forest, changed=action.touched)
             cold = make_space(sdss_catalog, sdss_log)
             scratch = cold.evaluate(forest)
             assert incremental.cost.as_dict() == scratch.cost.as_dict()

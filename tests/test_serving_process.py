@@ -10,7 +10,8 @@ Four families, mirroring the process-tier shipping contract
 * **Worker cache lifecycle** — workers cache snapshots by
   ``(catalog_id, data_version)`` in a bounded LRU; a catalog version bump
   ships the new version and evicts exactly the stale entry once capacity
-  forces it out — never the live one.
+  forces it out — never the live one.  Two catalogs at equal data versions
+  on one worker never read each other's cached results.
 * **Determinism** — interfaces generated inside worker processes (snapshot
   shipped, generation executed there) must fingerprint-match the in-process
   serial pipeline, across 8 concurrent sessions.
@@ -35,8 +36,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.datasets import covid_query_log, load_covid_catalog
+from repro.datasets import covid_query_log, generate_state_regions, load_covid_catalog
+from repro.engine.catalog import Catalog
 from repro.engine.options import ExecOptions
+from repro.engine.table import Table
 from repro.errors import AdmissionError, WorkerError
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.serving import (
@@ -47,6 +50,7 @@ from repro.serving import (
     ServiceConfig,
     WorkloadMix,
 )
+from repro.serving.workers import _run_task, _WorkerState
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -166,6 +170,31 @@ class TestWorkerSnapshotCache:
             cached = tier.worker_cached_fingerprints(0)
             assert (old.catalog_id, old.data_version()) in cached
             assert (new.catalog_id, new.data_version()) in cached
+
+
+    def test_two_catalogs_at_equal_versions_keep_their_own_results(self):
+        """Data versions are local to a catalog lineage, so results are cached per catalog."""
+        full = load_covid_catalog()
+        cases = full.table("covid_cases")
+        half = Catalog()
+        half.register(
+            Table.from_columns(
+                "covid_cases",
+                {name: cases.column(name)[: cases.row_count // 2] for name in cases.column_names},
+            )
+        )
+        half.register(generate_state_regions())
+        assert half.data_version() == full.data_version()
+        query = covid_query_log()[3]
+        state = _WorkerState(capacity=1)
+        for catalog in (full, half):
+            key = (catalog.catalog_id, catalog.data_version())
+            snapshot = state.admit(key, pickle.dumps(catalog.snapshot()))
+            served = _run_task("execute", snapshot, (query, ExecOptions()))
+            assert served.rows == catalog.execute(query, ExecOptions(use_cache=False)).rows
+        assert full.execute(query).row_count == 392 and served.row_count == 196
+        # Capacity 1: the first catalog's result cache left with its last snapshot.
+        assert list(state.query_caches) == [half.catalog_id]
 
 
 class TestProcessDeterminism:

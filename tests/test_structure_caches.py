@@ -390,7 +390,8 @@ def test_each_evaluation_on_a_warm_catalog_matches_a_fresh_catalog(bases, warmed
             break
         action = rng.choice(actions)
         forest = space.apply(forest, action)
-        incremental = space.evaluate(forest, changed=action.touched, use_cache=False)
+        space._cache.clear()  # evaluate afresh, through the warm structure caches
+        incremental = space.evaluate(forest, changed=action.touched)
         scratch = search_space(fresh_catalog(bases[dataset]), log).evaluate(forest)
         assert incremental.data_rows is not None and -1 not in incremental.data_rows
         assert facts(incremental) == facts(scratch), f"{name}, seed {seed}, step {steps}"
