@@ -136,7 +136,7 @@ def storm() -> tuple[dict, dict]:
     """256 async users over 4 shards; returns (report dict, frontend stats)."""
     frontend = AsyncInterfaceService(
         [load_covid_catalog() for _ in range(STORM_SHARDS)],
-        service_config(max_sessions=128, max_pending=1024, shards=STORM_SHARDS),
+        service_config(max_sessions=128, max_pending=1024),
     )
     try:
         log = covid_query_log()

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import CatalogError
 from repro.difftree.signatures import SharedLruDict, StructureCaches
@@ -131,6 +131,12 @@ class Catalog:
         #: plane's fold input).  Leaf-locked like the caches: recorded under
         #: ``_write_lock`` but never under ``_lock``.
         self._version_log = VersionLog()
+        #: Called with no arguments before every top-level execution on this
+        #: catalog's snapshots (not on cache hits, folds or nested
+        #: subqueries).  ``None`` except under the serving layer's fault
+        #: plane, which raises from it at planned ordinals.  Snapshots carry
+        #: the hook but never pickle it, so worker processes never run it.
+        self.fault_hook: Callable[[], None] | None = None
 
     def parse(self, text: str) -> SqlNode:
         """Parse SQL text with a bounded FIFO memo of the resulting AST.
@@ -323,7 +329,11 @@ class Catalog:
         with self._lock:
             fingerprint = self._fingerprint_locked()
             snapshot = self._snapshot_memo
-            if snapshot is None or snapshot.data_version() != fingerprint:
+            if (
+                snapshot is None
+                or snapshot.data_version() != fingerprint
+                or snapshot.fault_hook is not self.fault_hook
+            ):
                 snapshot = CatalogSnapshot(
                     tables=dict(self._tables),
                     version=fingerprint,
@@ -333,6 +343,7 @@ class Catalog:
                     catalog_id=self.catalog_id,
                     version_log=self._version_log,
                     structure_caches=self._structure_caches,
+                    fault_hook=self.fault_hook,
                 )
                 self._snapshot_memo = snapshot
         if freeze:
@@ -500,6 +511,7 @@ class CatalogSnapshot:
         version_log: VersionLog | None = None,
         *,
         structure_caches: StructureCaches,
+        fault_hook: Callable[[], None] | None = None,
     ) -> None:
         self._tables = tables
         self._version = version
@@ -509,6 +521,7 @@ class CatalogSnapshot:
         self.catalog_id = catalog_id
         self._version_log = version_log
         self._structure_caches = structure_caches
+        self.fault_hook = fault_hook
         self._schemas_memo: dict[str, TableSchema] | None = None
 
     # ------------------------------------------------------------------ #
@@ -519,11 +532,11 @@ class CatalogSnapshot:
     # data + incrementally maintained column statistics), the version
     # fingerprint and the catalog identity token.  What never crosses:
     # the caches, the structure caches included (they hold locks, and a
-    # worker's caches must key off the worker's own state), and the owning
-    # catalog's bound parse memo.  An unpickled snapshot is self-sufficient
-    # — fresh empty caches, a detached parser — and a worker that wants
-    # cross-fingerprint cache reuse attaches shared caches afterwards via
-    # ``attach_caches``.
+    # worker's caches must key off the worker's own state), the owning
+    # catalog's bound parse memo and its fault hook.  An unpickled snapshot
+    # is self-sufficient — fresh empty caches, a detached parser, no hook —
+    # and a worker that wants cross-fingerprint cache reuse attaches shared
+    # caches afterwards via ``attach_caches``.
 
     def __getstate__(self) -> dict:
         # Ship *warm* tables: column statistics, null counts, and sealed
@@ -553,6 +566,7 @@ class CatalogSnapshot:
         # path must be equivalent to.
         self._version_log = None
         self._structure_caches = StructureCaches(SharedLruDict)
+        self.fault_hook = None
         self._schemas_memo = None
 
     def attach_caches(
@@ -641,6 +655,7 @@ class CatalogSnapshot:
         self,
         query: str | SqlNode,
         options: ExecOptions = DEFAULT_OPTIONS,
+        run: Callable[["CatalogSnapshot", Callable[[], QueryResult]], QueryResult] | None = None,
     ) -> QueryResult:
         """Execute a query against the pinned table versions.
 
@@ -648,6 +663,13 @@ class CatalogSnapshot:
         scans, optimizer statistics — anchored to the snapshot's version.  A
         timed-out execution (deadline elapsed mid-run) raises before the
         store, so partial work can never poison the result cache.
+
+        Every read is probe → fold → compute → store.  ``run``, when given,
+        decides only where the compute step happens: it is called as
+        ``run(snapshot, compute)`` for a cache miss or an uncacheable read
+        and returns the result, e.g. by shipping the query to a worker
+        process or by calling ``compute()`` here.  It is called with no lock
+        held; this is the only place the engine calls into the serving layer.
         """
         # Imported here to avoid a circular import: the executor needs the
         # catalog types for scans.
@@ -659,31 +681,28 @@ class CatalogSnapshot:
         if not isinstance(node, (Select, SetOperation)):
             raise CatalogError(f"Only SELECT queries can be executed, got {type(node).__name__}")
 
-        if not options.optimize:
-            if options.use_cache:
-                self._query_cache.note_bypass()
+        def compute() -> QueryResult:
+            if self.fault_hook is not None:
+                self.fault_hook()
             return Executor(
-                self, plan_cache=self._plan_cache, optimize=False, deadline=run_deadline
+                self, plan_cache=self._plan_cache, optimize=options.optimize, deadline=run_deadline
             ).execute(node)
 
+        # Unoptimized runs never touch the result cache (see ExecOptions).
         key = canonical = None
-        if options.use_cache:
+        if options.use_cache and options.optimize:
             key, canonical = cache_identity(node, self._version)
         if key is None:
             if options.use_cache:
                 self._query_cache.note_bypass()
-            return Executor(
-                self, plan_cache=self._plan_cache, deadline=run_deadline
-            ).execute(node)
+            return compute() if run is None else run(self, compute)
         cached = self._query_cache.lookup(key)
         if cached is not None:
             return cached
         folded = self._fold_probe(key, canonical)
         if folded is not None:
             return folded
-        result = Executor(
-            self, plan_cache=self._plan_cache, deadline=run_deadline
-        ).execute(node)
+        result = compute() if run is None else run(self, compute)
         self._query_cache.store(key, result)
         self._maybe_register_folder(node, canonical, result)
         return result
@@ -752,44 +771,6 @@ class CatalogSnapshot:
         except Exception:  # noqa: BLE001 - registration must never break reads
             return
         self._query_cache.store_folder(canonical, folder)
-
-    # ------------------------------------------------------------------ #
-    # Result-cache probe (the process tier's read fast path)
-    # ------------------------------------------------------------------ #
-
-    def cached_result(self, query: str | SqlNode) -> QueryResult | None:
-        """Probe the result cache without executing — ``None`` on miss.
-
-        The process execution tier calls this in the frontend before paying
-        a worker round-trip: a hot read costs exactly what the thread tier's
-        cache-hit path costs (parse memo + cache key), keeping the two tiers
-        at parity on cached reads.
-        """
-        node = self._parse(query) if isinstance(query, str) else query
-        if not isinstance(node, (Select, SetOperation)):
-            return None
-        key, canonical = cache_identity(node, self._version)
-        if key is None:
-            return None
-        cached = self._query_cache.lookup(key)
-        if cached is not None:
-            return cached
-        return self._fold_probe(key, canonical)
-
-    def store_result(self, query: str | SqlNode, result: QueryResult) -> None:
-        """Insert an externally computed result for ``query`` at this version.
-
-        Used by the process tier to publish a worker's answer into the
-        frontend's shared cache so every session pinned at the same version
-        gets it for free.  Uncacheable queries are a silent no-op.
-        """
-        node = self._parse(query) if isinstance(query, str) else query
-        if not isinstance(node, (Select, SetOperation)):
-            return
-        key, canonical = cache_identity(node, self._version)
-        if key is not None:
-            self._query_cache.store(key, result)
-            self._maybe_register_folder(node, canonical, result)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CatalogSnapshot(tables={self.table_names()})"

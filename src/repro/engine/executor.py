@@ -70,25 +70,6 @@ from repro.sql.ast_nodes import (
 from repro.sql.printer import to_sql
 from repro.sql.schema import AttributeRole, ColumnSchema, DataType, ResultSchema
 
-#: Optional fault-injection hook, called once per top-level
-#: :meth:`Executor.execute` entry (never for nested subqueries).  Strictly
-#: ``None`` in production — the serving layer's deterministic chaos harness
-#: (``repro.serving.faults``) installs one to force a raise at query K.  The
-#: hook is process-local: installing it in the frontend does not affect
-#: process-tier workers.
-_fault_hook = None
-
-
-def install_fault_hook(hook):
-    """Install (or with ``None`` remove) the executor fault hook.
-
-    Returns the previously installed hook so callers can restore it.
-    """
-    global _fault_hook
-    previous = _fault_hook
-    _fault_hook = hook
-    return previous
-
 
 class PlanResult:
     """Lightweight internal result of running a nested plan (no schema)."""
@@ -452,8 +433,6 @@ class Executor:
         """Execute a SELECT or set operation and return its materialized result."""
         if not isinstance(node, (Select, SetOperation)):
             raise ExecutionError(f"Cannot execute node of type {type(node).__name__}")
-        if _fault_hook is not None:
-            _fault_hook()
         plan = self.compile(node)
         ctx = ExecutionContext(
             executor=self,

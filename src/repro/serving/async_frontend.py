@@ -16,7 +16,8 @@ without a thread per user:
   ``hash``), so a tenant's sessions always see the same catalog.  All
   shards share one :class:`ProcessExecutionTier` — worker snapshot caches
   key by ``(catalog_id, fingerprint)``, so S shards cost S payload entries,
-  not S worker pools.
+  not S worker pools — and one fault injector, so a fault plan's ordinals
+  and its audit counters cover every shard.
 
 Sessions, admission control and writes stay in the frontend process;
 workers stay stateless and read-only (see ``docs/SERVING.md``).
@@ -25,6 +26,7 @@ workers stay stateless and read-only (see ``docs/SERVING.md``).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -32,10 +34,9 @@ from typing import Any, Iterable, Sequence
 from repro.engine.catalog import Catalog
 from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.table import QueryResult
-from repro.errors import AdmissionError
 from repro.pipeline import GenerationResult, PipelineConfig
-from repro.serving.service import InterfaceService, ServiceConfig
-from repro.serving.workers import CircuitBreaker, ProcessExecutionTier
+from repro.serving.service import InterfaceService, ServiceConfig, ServiceStats
+from repro.serving.workers import ProcessExecutionTier
 
 __all__ = ["AsyncInterfaceService", "AsyncSession"]
 
@@ -53,11 +54,13 @@ class AsyncInterfaceService:
     """Asyncio facade over one or more :class:`InterfaceService` shards.
 
     Args:
-        catalogs: One :class:`Catalog` per shard.  ``config.shards`` must
-            match (a single catalog may be passed bare for one shard).
+        catalogs: One :class:`Catalog` per shard (a single catalog may be
+            passed bare for one shard).
         config: Shared service configuration.  With
             ``execution_tier="process"`` the frontend creates **one**
-            process tier and injects it into every shard.
+            process tier and injects it into every shard; with a
+            ``fault_plan`` it likewise creates one fault injector for all
+            shards.
     """
 
     def __init__(
@@ -67,35 +70,18 @@ class AsyncInterfaceService:
     ) -> None:
         if isinstance(catalogs, Catalog):
             catalogs = [catalogs]
-        catalogs = list(catalogs)
-        self.config = config or ServiceConfig(shards=len(catalogs))
-        if self.config.shards != len(catalogs):
-            raise AdmissionError(
-                f"ServiceConfig.shards={self.config.shards} but {len(catalogs)} "
-                f"catalogs were provided (one catalog per shard)"
-            )
-        # One shared tier for every shard: must exist before any shard spawns
-        # frontend threads (fork-safety), and shutdown stays with this owner.
-        self._tier: ProcessExecutionTier | None = None
+        self.config = config or ServiceConfig()
         plan = self.config.fault_plan
         faults = plan.injector() if plan is not None and plan.enabled() else None
+        # One shared tier for every shard, shut down by this owner.  Its
+        # breaker is shared too: every shard feeds and consults the same
+        # one, so a flapping tier degrades all shards together instead of
+        # each rediscovering the failure rate.
+        self._tier: ProcessExecutionTier | None = None
         if self.config.execution_tier == "process":
-            # The breaker is shared with the tier: every shard feeds and
-            # consults the same one, so a flapping tier degrades all shards
-            # together instead of each rediscovering the failure rate.
-            self._tier = ProcessExecutionTier(
-                processes=self.config.worker_processes,
-                start_method=self.config.worker_start_method,
-                retry_policy=self.config.retry_policy,
-                breaker=CircuitBreaker(
-                    failure_threshold=self.config.breaker_failure_threshold,
-                    window_seconds=self.config.breaker_window_seconds,
-                    cooldown_seconds=self.config.breaker_cooldown_seconds,
-                ),
-                faults=faults,
-            )
+            self._tier = ProcessExecutionTier.from_config(self.config, faults)
         self._shards = [
-            InterfaceService(catalog, self.config, process_tier=self._tier)
+            InterfaceService(catalog, self.config, process_tier=self._tier, faults=faults)
             for catalog in catalogs
         ]
         self._closed = False
@@ -170,40 +156,17 @@ class AsyncInterfaceService:
     # ------------------------------------------------------------------ #
 
     def stats_snapshot(self) -> dict[str, Any]:
-        """Aggregated counters over every shard (sums; percentiles per shard)."""
+        """Aggregated counters over every shard (sums; percentiles per shard).
+
+        The :class:`ServiceStats` counters are summed over the shards; the
+        shared process tier's counters are global, so they are read once.
+        """
         per_shard = [service.stats_snapshot() for service in self._shards]
         totals: dict[str, Any] = {"shards": len(per_shard)}
-        for key in (
-            "submitted",
-            "completed",
-            "failed",
-            "rejected",
-            "shed",
-            "degraded",
-            "expired",
-            "sessions_opened",
-            "sessions_rejected",
-        ):
-            totals[key] = sum(snap.get(key, 0) for snap in per_shard)
-        # The process tier is shared, so its counters are *global* — take
-        # them once instead of summing the same numbers S times.
-        tier_keys = (
-            "snapshot_ships",
-            "worker_snapshot_cache_hits",
-            "workers_respawned",
-            "respawn_escalations",
-            "tasks_retried",
-            "tasks_expired",
-            "ship_integrity_retries",
-            "breaker_state",
-            "breaker_trips",
-            "worker_processes",
-            "process_queue_wait_p50_ms",
-            "process_queue_wait_p95_ms",
-        )
-        for key in tier_keys:
-            if key in per_shard[0]:
-                totals[key] = per_shard[0][key]
+        for stat in dataclasses.fields(ServiceStats):
+            totals[stat.name] = sum(snap[stat.name] for snap in per_shard)
+        if self._tier is not None:
+            totals.update(self._tier.stats_snapshot())
         totals["per_shard"] = per_shard
         return totals
 
@@ -214,11 +177,8 @@ class AsyncInterfaceService:
         if self._closed:
             return
         self._closed = True
-        # Reverse construction order: each shard restores the process-global
-        # executor fault hook it found at construction, so the hooks must
-        # unwind last-in, first-out.  Shards do not own the shared tier; it
-        # shuts down once below.
-        for service in reversed(self._shards):
+        # Shards do not own the shared tier; it shuts down once below.
+        for service in self._shards:
             service.shutdown(wait=True)
         if self._tier is not None:
             self._tier.shutdown(wait=True)

@@ -66,8 +66,8 @@ class FaultPlan:
     #: 1-based ship ordinals whose payload bytes are flipped in flight (the
     #: CRC is computed before the flip, so the worker must detect it).
     corrupt_ships: frozenset[int] = frozenset()
-    #: 1-based top-level executor-run ordinals at which the installed
-    #: executor hook raises :class:`InjectedFault`.
+    #: 1-based top-level executor-run ordinals at which the service
+    #: catalog's executor hook raises :class:`InjectedFault`.
     executor_raise_at: frozenset[int] = frozenset()
 
     def enabled(self) -> bool:
@@ -159,12 +159,13 @@ class FaultInjector:
         return data, crc
 
     def executor_hook(self) -> Callable[[], None]:
-        """A hook for :func:`repro.engine.executor.install_fault_hook`.
+        """A hook for :attr:`repro.engine.catalog.Catalog.fault_hook`.
 
-        The returned callable counts top-level executor runs *in the
-        process it is installed in* (the frontend: thread-tier execution,
-        degraded-mode fallback) and raises :class:`InjectedFault` at the
-        planned ordinals.
+        The returned callable counts the top-level executions computed in
+        the frontend on the catalogs it is installed on (thread-tier
+        execution, degraded-mode fallback; never cache hits, folds or worker
+        processes) and raises :class:`InjectedFault` at the planned
+        ordinals.
         """
 
         def hook() -> None:

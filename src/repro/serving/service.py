@@ -13,6 +13,10 @@ concurrent service.  It owns
   profiling out on — deliberately separate from the worker pool, because a
   generation task blocking on futures scheduled into its *own* saturated pool
   would deadlock,
+* optionally a :class:`ProcessExecutionTier`.  Each operation has one body
+  for both tiers: it hands :meth:`InterfaceService._dispatch` the work to
+  submit to the tier and the work to run locally, and the thread tier is
+  simply the absence of a process tier,
 * **admission control**: a hard cap on live sessions and on in-flight
   submitted tasks; past either cap, :class:`~repro.errors.AdmissionError` is
   raised instead of queueing unboundedly.
@@ -26,14 +30,17 @@ Lock hierarchy (top to bottom; a thread may only acquire downwards):
 4. ``Catalog._lock`` — table-map swaps, version reads, snapshot pinning,
 5. cache-internal locks (``QueryCache``).
 
-The ordering is rooted by the engine never calling back up into the serving
-layer: catalog and cache locks are always acquired at the *bottom* of a call
-chain, so no task body or callback acquires upwards, which is what makes the
-layer deadlock-free by construction (see ``docs/SERVING.md``).
+The ordering is rooted by a layering rule: the engine calls serving code
+only through the ``run`` callable of :meth:`CatalogSnapshot.execute`, and
+holds no lock when it does.  Catalog and cache locks are therefore always
+acquired at the *bottom* of a call chain, so no task body or callback
+acquires upwards, which is what makes the layer deadlock-free by
+construction (see ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 import time
@@ -54,11 +61,10 @@ from repro.errors import (
 )
 from repro.obs import percentile
 from repro.pipeline import GenerationResult, PipelineConfig, generate_interface
-from repro.serving.faults import FaultPlan
+from repro.serving.faults import FaultInjector, FaultPlan
 from repro.serving.session import Session
 from repro.serving.workers import (
     QUEUE_WAIT_SAMPLE_CAPACITY,
-    CircuitBreaker,
     ProcessExecutionTier,
     RetryPolicy,
 )
@@ -97,13 +103,6 @@ class ServiceConfig:
     #: default either starves big hosts or oversizes small containers.  An
     #: explicit integer still wins unchanged.
     worker_processes: int | None = None
-    #: ``multiprocessing`` start method for the process tier.
-    worker_start_method: str = "spawn"
-    #: Shard count the async frontend partitions tenants across (each shard
-    #: is one InterfaceService over its own catalog; tenants on different
-    #: shards never contend on one ``Catalog._write_lock``).  Ignored by a
-    #: directly constructed single service.
-    shards: int = 1
     #: Default deadline applied to every submitted task, in milliseconds
     #: (``None`` = no deadline).  Per-request ``deadline_ms`` overrides win.
     #: Deadlines are absolute: computed once at submission and enforced at
@@ -131,13 +130,7 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """Service-wide counters (reads are snapshots; writes are lock-guarded).
-
-    ``snapshot_ships`` / ``worker_snapshot_cache_hits`` mirror the process
-    tier (always 0 in the thread tier): how many times a pickled snapshot
-    actually crossed a process boundary versus how many tasks found their
-    fingerprint already cached in the worker.
-    """
+    """Service-wide counters (reads are snapshots; writes are lock-guarded)."""
 
     submitted: int = 0
     completed: int = 0
@@ -153,18 +146,22 @@ class ServiceStats:
     expired: int = 0
     sessions_opened: int = 0
     sessions_rejected: int = 0
-    snapshot_ships: int = 0
-    worker_snapshot_cache_hits: int = 0
 
 
 class InterfaceService:
-    """A thread-safe, multi-session facade over the generation pipeline."""
+    """A thread-safe, multi-session facade over the generation pipeline.
+
+    ``process_tier`` and ``faults`` let the async frontend hand one shared
+    tier and one shared fault injector to every shard; the service shuts
+    down only a tier it built itself.
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         config: ServiceConfig | None = None,
         process_tier: ProcessExecutionTier | None = None,
+        faults: FaultInjector | None = None,
     ) -> None:
         self.catalog = catalog
         self.config = config or ServiceConfig()
@@ -175,44 +172,23 @@ class InterfaceService:
                 f"Unknown execution tier {self.config.execution_tier!r} "
                 f"(expected 'thread' or 'process')"
             )
-        # The process tier must exist before any frontend thread is spawned
-        # (a 'fork' start method is only safe while the process is still
-        # single-threaded).  A shared tier may be injected — the async
-        # frontend passes one tier to all of its shards so S shards do not
-        # spawn S * worker_processes processes.
         # Fault plane: one injector instance shared by every site of this
-        # service (tier dispatchers, ship path, executor hook) so the plan's
-        # ordinals are global and its counters audit the whole run.  None —
-        # the default — keeps every site a no-op.
+        # service (tier dispatchers, ship path, the catalog's executor hook)
+        # so the plan's ordinals are global and its counters audit the whole
+        # run.  None — the default — keeps every site a no-op.
         plan = self.config.fault_plan
-        self._fault_injector = plan.injector() if plan is not None and plan.enabled() else None
-        self._previous_executor_hook = None
-        self._executor_hook_installed = False
-        if self._fault_injector is not None and plan.executor_raise_at:
-            from repro.engine.executor import install_fault_hook
-
-            self._previous_executor_hook = install_fault_hook(
-                self._fault_injector.executor_hook()
-            )
-            self._executor_hook_installed = True
+        if faults is None and plan is not None and plan.enabled():
+            faults = plan.injector()
+        self._fault_injector = faults
         self._process_tier: ProcessExecutionTier | None = None
         self._owns_process_tier = False
         if self.config.execution_tier == "process":
-            if process_tier is not None:
-                self._process_tier = process_tier
-            else:
-                self._process_tier = ProcessExecutionTier(
-                    processes=self.config.worker_processes,
-                    start_method=self.config.worker_start_method,
-                    retry_policy=self.config.retry_policy,
-                    breaker=CircuitBreaker(
-                        failure_threshold=self.config.breaker_failure_threshold,
-                        window_seconds=self.config.breaker_window_seconds,
-                        cooldown_seconds=self.config.breaker_cooldown_seconds,
-                    ),
-                    faults=self._fault_injector,
-                )
-                self._owns_process_tier = True
+            self._owns_process_tier = process_tier is None
+            self._process_tier = process_tier or ProcessExecutionTier.from_config(
+                self.config, faults
+            )
+        if faults is not None and faults.plan.executor_raise_at:
+            catalog.fault_hook = faults.executor_hook()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_workers, thread_name_prefix="serve"
         )
@@ -303,11 +279,14 @@ class InterfaceService:
     ) -> "Future[QueryResult]":
         """Run one SQL query on the session's pinned snapshot.
 
-        Thread tier: the query executes on the worker pool.  Process tier:
-        the worker-pool thread only marshals — it ships ``(canonical SQL,
-        fingerprint)`` to a worker process (plus the snapshot itself iff that
-        worker has never seen this fingerprint) and blocks GIL-free on the
-        pipe, so concurrent queries execute truly in parallel.
+        Both tiers read through :meth:`CatalogSnapshot.execute` on the
+        worker pool: the frontend's result cache answers hits and folds, and
+        stores what a miss computes.  The tiers differ only in where a miss
+        (or an uncacheable read) is computed.  Thread tier: on the pool
+        thread.  Process tier: the pool thread ships the query text and the
+        snapshot's fingerprint to a worker process (plus the snapshot itself
+        iff that worker has never seen this fingerprint) and blocks GIL-free
+        on the pipe, so concurrent misses execute truly in parallel.
 
         ``options`` carries the execution knobs (:class:`ExecOptions`).  A
         relative ``deadline_ms`` budget (or, absent one,
@@ -320,9 +299,16 @@ class InterfaceService:
             options = options.replace(deadline=self._deadline_from(None))
         resolved = options.pinned()
         session = self.session(session_id)
-        runner = self._tier_runner()
+
+        def run(snapshot, compute) -> QueryResult:
+            return self._dispatch(
+                lambda: self._process_tier.submit_execute(snapshot, query, resolved),
+                compute,
+                resolved.deadline,
+            )
+
         return self._submit(
-            lambda: session.execute(query, resolved, runner=runner),
+            lambda: session.execute(query, resolved, run=run),
             deadline=resolved.deadline,
         )
 
@@ -333,50 +319,27 @@ class InterfaceService:
             return None
         return time.monotonic() + ms / 1000.0
 
-    def _tier_runner(self):
-        """The session-execute runner for the configured execution tier."""
+    def _dispatch(self, submit, local, deadline):
+        """Run one operation: ``local()`` here, or ``submit()`` on the process tier.
+
+        No process tier: ``local()`` on the calling pool thread.  With one,
+        the circuit-breaker protocol decides.  Closed: dispatch via
+        ``submit()`` and wait on its future.  Open: serve via ``local()``
+        (degraded mode: correct answers, reduced parallelism).  Half-open:
+        this call may carry the recovery probe, in which case it must report
+        the tier's health back.  Only transport-class failures (worker
+        death, deadline blown inside the tier) count against a probe — a
+        typed engine error still proves the tier can run work.
+        """
         tier = self._process_tier
         if tier is None:
-            return None
-
-        def run(snapshot, query, options):
-            # Read fast path: hot queries are served from the frontend's
-            # shared result cache at thread-tier cost; only misses pay the
-            # worker round-trip, and their answers are published back so
-            # every session pinned at this version hits next time.
-            if options.use_cache:
-                cached = snapshot.cached_result(query)
-                if cached is not None:
-                    return cached
-            result = self._tier_call(
-                tier,
-                lambda: tier.submit_execute(snapshot, query, options),
-                lambda: snapshot.execute(query, options),
-                options.resolved_deadline(),
-            )
-            if options.use_cache:
-                snapshot.store_result(query, result)
-            return result
-
-        return run
-
-    def _tier_call(self, tier, submit, fallback, deadline):
-        """One process-tier dispatch under the circuit-breaker protocol.
-
-        Breaker closed: dispatch normally.  Open: serve via ``fallback`` —
-        in-frontend execution at thread-tier cost (degraded mode: correct
-        answers, reduced parallelism).  Half-open: this call may carry the
-        recovery probe, in which case it must report the tier's health back.
-        Only transport-class failures (worker death, deadline blown inside
-        the tier) count against a probe — a typed engine error still proves
-        the tier can run work.
-        """
+            return local()
         breaker = tier.breaker
         ticket = breaker.acquire() if breaker is not None else "closed"
         if ticket == "rejected":
             with self._lock:
                 self.stats.degraded += 1
-            return fallback()
+            return local()
         try:
             timeout = None
             if deadline is not None:
@@ -412,9 +375,14 @@ class InterfaceService:
         """Generate an interface for the session's query log, on the pool.
 
         The generation runs against the session's pinned snapshot (one
-        consistent data version end to end) with per-tree profiling fanned
-        out across the dedicated profile pool, and attaches the resulting
-        interface to the session on completion.
+        consistent data version end to end) and attaches the resulting
+        interface to the session on completion.  Thread tier: on the pool
+        thread, with per-tree profiling fanned out across the dedicated
+        profile pool.  Process tier: the query log, config and fingerprint
+        ship as one task, and the whole search runs inside one worker
+        process, so concurrent sessions' generations use separate cores.
+        The pipeline is a pure function of snapshot, queries and config, so
+        both give the same interface.
 
         Generation is the shedding class: past the queue-depth watermark it
         is rejected with :class:`~repro.errors.OverloadError` before it can
@@ -422,44 +390,24 @@ class InterfaceService:
         """
         session = self.session(session_id)
         generation_config = config or self.config.generation
-        tier = self._process_tier
         deadline = self._deadline_from(deadline_ms)
 
-        if tier is not None:
-
-            def run() -> GenerationResult:
-                # The whole generation is one picklable task descriptor
-                # (query log + config + fingerprint); the search, mapping,
-                # costing and per-tree profiling all run inside one worker
-                # process, so concurrent sessions' generations use separate
-                # cores instead of interleaving under the GIL.  Breaker
-                # open: the generation runs serially in the frontend —
-                # slower, still correct (the pipeline is a pure function of
-                # snapshot + queries + config).
-                result = self._tier_call(
-                    tier,
-                    lambda: tier.submit_generate(
-                        session.snapshot, list(queries), generation_config, deadline=deadline
-                    ),
-                    lambda: generate_interface(
-                        list(queries), session.snapshot, generation_config
-                    ),
-                    deadline,
-                )
-                session.attach(result)
-                return result
-
-        else:
-
-            def run() -> GenerationResult:
-                result = generate_interface(
+        def run() -> GenerationResult:
+            snapshot = session.snapshot
+            result = self._dispatch(
+                lambda: self._process_tier.submit_generate(
+                    snapshot, list(queries), generation_config, deadline=deadline
+                ),
+                lambda: generate_interface(
                     list(queries),
-                    session.snapshot,
+                    snapshot,
                     generation_config,
                     profile_executor=self._profile_pool,
-                )
-                session.attach(result)
-                return result
+                ),
+                deadline,
+            )
+            session.attach(result)
+            return result
 
         return self._submit(run, heavy=True, deadline=deadline)
 
@@ -572,57 +520,23 @@ class InterfaceService:
     def stats_snapshot(self) -> dict[str, Any]:
         """Machine-readable service statistics (what the bench JSON stores).
 
-        Includes the admission counters, per-tier queue-wait percentiles
-        (``frontend_queue_wait_*`` always; ``process_queue_wait_*`` in the
-        process tier), and the snapshot-transport counters mirrored from the
-        process tier.
+        The :class:`ServiceStats` counters, the frontend queue-wait
+        percentiles, the process tier's own counters
+        (:meth:`ProcessExecutionTier.stats_snapshot`; only
+        ``worker_processes=None`` in the thread tier) and the result cache's
+        incremental-maintenance counters.
         """
         with self._lock:
-            data: dict[str, Any] = {
-                "submitted": self.stats.submitted,
-                "completed": self.stats.completed,
-                "failed": self.stats.failed,
-                "rejected": self.stats.rejected,
-                "shed": self.stats.shed,
-                "degraded": self.stats.degraded,
-                "expired": self.stats.expired,
-                "sessions_opened": self.stats.sessions_opened,
-                "sessions_rejected": self.stats.sessions_rejected,
-                "execution_tier": self.config.execution_tier,
-            }
+            data: dict[str, Any] = dataclasses.asdict(self.stats)
             waits = list(self._queue_waits)
+        data["execution_tier"] = self.config.execution_tier
         for name, fraction in (("p50", 0.50), ("p95", 0.95)):
             wait = percentile(waits, fraction)
             data[f"frontend_queue_wait_{name}_ms"] = (
                 None if wait is None else round(wait * 1000, 3)
             )
         tier = self._process_tier
-        if tier is not None:
-            tier_stats = tier.stats_snapshot()
-            with self._lock:
-                self.stats.snapshot_ships = tier_stats["snapshot_ships"]
-                self.stats.worker_snapshot_cache_hits = tier_stats[
-                    "worker_snapshot_cache_hits"
-                ]
-            data["snapshot_ships"] = tier_stats["snapshot_ships"]
-            data["worker_snapshot_cache_hits"] = tier_stats["worker_snapshot_cache_hits"]
-            data["workers_respawned"] = tier_stats["workers_respawned"]
-            data["respawn_escalations"] = tier_stats["respawn_escalations"]
-            data["tasks_retried"] = tier_stats["tasks_retried"]
-            data["tasks_expired"] = tier_stats["tasks_expired"]
-            data["ship_integrity_retries"] = tier_stats["ship_integrity_retries"]
-            if "breaker_state" in tier_stats:
-                data["breaker_state"] = tier_stats["breaker_state"]
-                data["breaker_trips"] = tier_stats["breaker_trips"]
-            # The *resolved* pool size — with worker_processes=None this is
-            # what default_worker_processes() picked for the machine.
-            data["worker_processes"] = tier_stats["workers"]
-            data["process_queue_wait_p50_ms"] = tier_stats["queue_wait_p50_ms"]
-            data["process_queue_wait_p95_ms"] = tier_stats["queue_wait_p95_ms"]
-        else:
-            data["snapshot_ships"] = 0
-            data["worker_snapshot_cache_hits"] = 0
-            data["worker_processes"] = None
+        data.update(tier.stats_snapshot() if tier is not None else {"worker_processes": None})
         # Incremental-maintenance counters from the catalog's result cache:
         # folds answered a probe by applying appended deltas, fallbacks had
         # to recompute cold.  The effective hit rate counts folds as hits —
@@ -656,13 +570,10 @@ class InterfaceService:
         self._pool.shutdown(wait=wait)
         if self._profile_pool is not None:
             self._profile_pool.shutdown(wait=wait)
-        if self._process_tier is not None and self._owns_process_tier:
+        if self._owns_process_tier:
             self._process_tier.shutdown(wait=wait)
-        if self._executor_hook_installed:
-            from repro.engine.executor import install_fault_hook
-
-            install_fault_hook(self._previous_executor_hook)
-            self._executor_hook_installed = False
+        if self._fault_injector is not None:
+            self.catalog.fault_hook = None
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()

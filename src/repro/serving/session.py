@@ -116,25 +116,21 @@ class Session:
         self,
         query: str,
         options: ExecOptions = DEFAULT_OPTIONS,
-        runner=None,
+        run=None,
     ) -> QueryResult:
         """Run one SQL query against the pinned snapshot.
 
         ``options`` carries the execution knobs (:class:`ExecOptions`).
-        ``runner`` overrides *where* the query executes without changing what
-        it reads: a ``(snapshot, query, options) -> QueryResult`` callable
-        (the process execution tier passes one that ships the work to a
-        worker process).  Isolation is unchanged either way — the pinned
-        snapshot is the single source of truth.
+        ``run`` is handed to :meth:`CatalogSnapshot.execute`: it decides
+        where a cache miss is computed (the service passes one that may ship
+        it to a worker process) without changing what the query reads or
+        how the result cache is probed and filled.
         """
         resolved = options.pinned()
         snapshot = self.snapshot
         started = time.perf_counter()
         try:
-            if runner is None:
-                result = snapshot.execute(query, resolved)
-            else:
-                result = runner(snapshot, query, resolved)
+            result = snapshot.execute(query, resolved, run=run)
         except Exception:
             self._note(started, "failures")
             raise

@@ -5,7 +5,8 @@ engine operation is pure Python, so eight worker threads still execute one
 bytecode at a time.  :class:`ProcessExecutionTier` moves the two CPU-heavy
 operation classes into a pool of **worker processes**:
 
-* ad-hoc query execution (``Session.execute`` → canonical SQL + fingerprint),
+* ad-hoc query execution (a frontend cache miss: the query text as given,
+  its :class:`~repro.engine.options.ExecOptions` and the fingerprint),
 * interface generation (query log + pipeline config + fingerprint).
 
 The design leans entirely on PR 5's snapshot contract:
@@ -42,8 +43,8 @@ in to make all of the above deterministically testable.
 
 What may cross the boundary (see ``docs/SERVING.md``): pickled snapshots
 (tables + fingerprint + catalog id — never the caches, never lock-bearing
-objects), task descriptors built from canonical SQL text / query logs /
-pipeline configs, and columnar results.  What must not: live ``Catalog``
+objects), task descriptors built from query text / query logs / pipeline
+configs, and columnar results.  What must not: live ``Catalog``
 objects, sessions, futures, executors, or anything holding a lock.
 """
 
@@ -55,7 +56,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Sequence
 
 import multiprocessing
@@ -69,6 +70,7 @@ from repro.obs import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.faults import FaultInjector
+    from repro.serving.service import ServiceConfig
 
 #: Snapshots each worker keeps alive, LRU-evicted ((catalog_id, fingerprint)
 #: keyed).  Small on purpose: the common case is one live fingerprint per
@@ -488,10 +490,7 @@ class ProcessExecutionTier:
     Args:
         processes: Worker process count.  ``None`` (the default) sizes the
             pool from the machine via :func:`default_worker_processes`.
-        start_method: ``multiprocessing`` start method.  ``spawn`` (the
-            default) is safe regardless of the frontend's thread activity;
-            ``fork`` starts faster but must only be used when no other
-            threads can hold locks at tier construction time.
+            Workers are started with the ``spawn`` method.
         snapshot_cache_capacity: Per-worker snapshot LRU size.
         retry_policy: Backoff policy for tasks whose worker died mid-flight
             (default :class:`RetryPolicy`); ``None`` disables retries.
@@ -506,7 +505,6 @@ class ProcessExecutionTier:
     def __init__(
         self,
         processes: int | None = None,
-        start_method: str = "spawn",
         snapshot_cache_capacity: int = SNAPSHOT_CACHE_CAPACITY,
         retry_policy: RetryPolicy | None = RetryPolicy(),
         breaker: CircuitBreaker | None = None,
@@ -517,7 +515,7 @@ class ProcessExecutionTier:
             raise WorkerError("ProcessExecutionTier needs at least one worker process")
         self.processes = processes
         self.snapshot_cache_capacity = snapshot_cache_capacity
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         # Placement policy, decided at submit time (see ``_place``):
         #
         # * Two worker classes keep latency classes apart — "light" tasks
@@ -557,6 +555,22 @@ class ProcessExecutionTier:
         for thread in self._threads:
             thread.start()
 
+    @classmethod
+    def from_config(
+        cls, config: "ServiceConfig", faults: "FaultInjector | None" = None
+    ) -> "ProcessExecutionTier":
+        """The tier and circuit breaker a :class:`ServiceConfig` describes."""
+        return cls(
+            processes=config.worker_processes,
+            retry_policy=config.retry_policy,
+            breaker=CircuitBreaker(
+                failure_threshold=config.breaker_failure_threshold,
+                window_seconds=config.breaker_window_seconds,
+                cooldown_seconds=config.breaker_cooldown_seconds,
+            ),
+            faults=faults,
+        )
+
     # ------------------------------------------------------------------ #
     # Submission API
     # ------------------------------------------------------------------ #
@@ -569,10 +583,11 @@ class ProcessExecutionTier:
     ) -> _Future:
         """Run one SQL query against the snapshot, on some worker process.
 
-        ``options`` (an :class:`ExecOptions`) crosses the pipe with the task
-        body.  The deadline additionally rides outside the body so the
-        dispatch loop can drop queued tasks and cap retry backoff without
-        unpickling the options.
+        The query text ships as given; the worker parses and canonicalizes
+        it against its own caches.  ``options`` (an :class:`ExecOptions`)
+        crosses the pipe with the task body.  The deadline additionally
+        rides outside the body so the dispatch loop can drop queued tasks
+        and cap retry backoff without unpickling the options.
         """
         resolved = options.pinned()
         return self._submit("execute", snapshot, (sql, resolved), resolved.deadline)
@@ -934,34 +949,26 @@ class ProcessExecutionTier:
             raise WorkerError(f"cache_info failed: {reply[2]}: {reply[3]}")
         return reply[2]
 
-    def queue_wait_percentiles(self) -> dict[str, float | None]:
-        """p50/p95 dispatch queue wait in milliseconds (None when idle)."""
-        with self._lock:
-            samples = list(self.stats.queue_waits)
-        data: dict[str, float | None] = {}
-        for name, fraction in (("p50", 0.50), ("p95", 0.95)):
-            wait = percentile(samples, fraction)
-            data[f"queue_wait_{name}_ms"] = None if wait is None else round(wait * 1000, 3)
-        return data
-
     def stats_snapshot(self) -> dict[str, Any]:
+        """The tier's counters, keyed as ``InterfaceService.stats_snapshot()`` reports them.
+
+        ``worker_processes`` is the resolved pool size; the queue-wait
+        percentiles are in milliseconds (``None`` while no task has waited).
+        """
         with self._lock:
-            data = {
-                "tasks_dispatched": self.stats.tasks_dispatched,
-                "tasks_failed": self.stats.tasks_failed,
-                "tasks_expired": self.stats.tasks_expired,
-                "tasks_retried": self.stats.tasks_retried,
-                "snapshot_ships": self.stats.snapshot_ships,
-                "ship_integrity_retries": self.stats.ship_integrity_retries,
-                "worker_snapshot_cache_hits": self.stats.worker_snapshot_cache_hits,
-                "workers_respawned": self.stats.workers_respawned,
-                "respawn_escalations": self.stats.respawn_escalations,
-                "workers": len(self._handles),
+            data: dict[str, Any] = {
+                f.name: getattr(self.stats, f.name)
+                for f in fields(TierStats)
+                if f.name != "queue_waits"
             }
+            data["worker_processes"] = len(self._handles)
+            samples = list(self.stats.queue_waits)
         if self.breaker is not None:
             data["breaker_state"] = self.breaker.state()
             data["breaker_trips"] = self.breaker.trips
-        data.update(self.queue_wait_percentiles())
+        for name, fraction in (("p50", 0.50), ("p95", 0.95)):
+            wait = percentile(samples, fraction)
+            data[f"process_queue_wait_{name}_ms"] = None if wait is None else round(wait * 1000, 3)
         return data
 
     # ------------------------------------------------------------------ #

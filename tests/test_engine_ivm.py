@@ -258,19 +258,6 @@ class TestFolderLifecycle:
         assert catalog.execute(sql).rows == [(7,)]
         assert catalog.cache_stats()["ivm_folds"] == stats["ivm_folds"] + 1
 
-    def test_cached_result_probe_folds_too(self):
-        # The process tier's frontend probe (cached_result) uses the same
-        # fold path as execute.
-        catalog = make_catalog()
-        sql = "SELECT count(*) AS n FROM events"
-        catalog.execute(sql)
-        catalog.append_rows("events", [["view", "east", 4]])
-        snapshot = catalog.snapshot(freeze=False)
-        probed = snapshot.cached_result(sql)
-        assert probed is not None
-        assert probed.rows == [(5,)]
-        assert catalog.cache_stats()["ivm_folds"] == 1
-
     def test_unpickled_snapshot_recomputes_cold(self):
         import pickle
 
@@ -278,8 +265,9 @@ class TestFolderLifecycle:
         sql = "SELECT kind, count(*) AS n FROM events GROUP BY kind"
         catalog.execute(sql)
         shipped = pickle.loads(pickle.dumps(catalog.snapshot()))
-        assert shipped.cached_result(sql) is None
         assert shipped.execute(sql).rows == catalog.execute(sql, COLD).rows
+        stats = shipped.query_cache.snapshot()
+        assert (stats["hits"], stats["misses"], stats["ivm_folds"]) == (0, 1, 0)
 
 
 class TestShapeAnalysis:

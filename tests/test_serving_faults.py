@@ -13,7 +13,9 @@ process killing, no sleep-and-hope.  Families:
 * **Ship faults** — corrupted/delayed snapshot payloads recover through
   the CRC + ``need_snapshot`` handshake with correct results.
 * **Executor injection** — a planned in-executor fault at query K fires at
-  exactly K and leaves queries K±1 untouched.
+  exactly K and leaves queries K±1 untouched; it counts and fires only on
+  the service's own catalogs, and an async frontend's shards share one
+  injector.
 * **Graceful degradation** — breaker-open thread-fallback serving, half-open
   probe recovery, and queue-depth load shedding (``OverloadError``).
 * **Chaos storm** (the acceptance gate) — a mixed multi-client storm with
@@ -30,6 +32,7 @@ seed and ordinals.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 import threading
@@ -277,29 +280,54 @@ class TestExecutorInjection:
             assert third.rows == first.rows
             assert service.fault_injector.counters()["executor_raises"] == 1
 
-    def test_hook_is_uninstalled_on_shutdown(self):
-        from repro.engine import executor as executor_module
+    def test_planned_fault_never_fires_on_another_catalogs_query(self):
+        plan = FaultPlan(executor_raise_at=frozenset({2}))
+        query = covid_query_log()[0]
+        service = InterfaceService(
+            load_covid_catalog(), ServiceConfig(max_workers=1, fault_plan=plan)
+        )
+        try:
+            # An unrelated catalog in the same process: its second top-level
+            # execution is neither counted nor failed by the service's plan.
+            bystander = load_covid_catalog()
+            for _ in range(2):
+                bystander.execute(query, ExecOptions(use_cache=False))
+            assert service.fault_injector.counters()["executes_seen"] == 0
+        finally:
+            service.shutdown()
+        assert service.catalog.fault_hook is None
 
-        plan = FaultPlan(executor_raise_at=frozenset({1}))
+    def test_shards_share_one_injector(self):
+        # Ordinals are global across shards: shard 0 runs queries 1-3, so
+        # the planned fault at 4 lands on shard 1's first query.
+        plan = FaultPlan(executor_raise_at=frozenset({4}))
+        query = covid_query_log()[0]
+        cold = ExecOptions(use_cache=False)
+        frontend = AsyncInterfaceService(
+            [load_covid_catalog(), load_covid_catalog()],
+            ServiceConfig(max_workers=1, fault_plan=plan),
+        )
+        tenants = {frontend.shard_for(f"tenant-{i}"): f"tenant-{i}" for i in range(16)}
 
-        def single_service():
-            return InterfaceService(
-                load_covid_catalog(), ServiceConfig(max_workers=1, fault_plan=plan)
-            ).shutdown
+        async def drive():
+            first = await frontend.open_session(tenants[0])
+            second = await frontend.open_session(tenants[1])
+            for _ in range(3):
+                await frontend.execute(first, query, cold)
+            with pytest.raises(InjectedFault):
+                await frontend.execute(second, query, cold)
+            await frontend.execute(second, query, cold)
 
-        def two_shard_frontend():
-            # Every shard installs the hook over its predecessor's, so closing
-            # must unwind them last-in, first-out.
-            return AsyncInterfaceService(
-                [load_covid_catalog(), load_covid_catalog()],
-                ServiceConfig(shards=2, max_workers=1, fault_plan=plan),
-            ).close_sync
-
-        for build in (single_service, two_shard_frontend):
-            close = build()
-            assert executor_module._fault_hook is not None, build.__name__
-            close()
-            assert executor_module._fault_hook is None, build.__name__
+        try:
+            asyncio.run(drive())
+            injectors = [service.fault_injector for service in frontend._shards]
+        finally:
+            frontend.close_sync()
+        assert injectors[0] is injectors[1]
+        counters = injectors[0].counters()
+        assert counters["executes_seen"] == 5
+        assert counters["executor_raises"] == 1
+        assert [service.catalog.fault_hook for service in frontend._shards] == [None, None]
 
 
 class TestGracefulDegradation:

@@ -1,6 +1,6 @@
 """Process execution tier and asyncio frontend tests.
 
-Four families, mirroring the process-tier shipping contract
+Six families, mirroring the process-tier shipping contract
 (``docs/SERVING.md``):
 
 * **Snapshot shipping** — a pickled :class:`CatalogSnapshot` must survive the
@@ -15,9 +15,14 @@ Four families, mirroring the process-tier shipping contract
 * **Determinism** — interfaces generated inside worker processes (snapshot
   shipped, generation executed there) must fingerprint-match the in-process
   serial pipeline, across 8 concurrent sessions.
-* **Async frontend** — stable tenant→shard routing, shard-count validation,
-  and a 256-user storm on one event loop over 4 shards that must complete
-  with zero failures in process mode.
+* **Async frontend** — stable tenant→shard routing and a 256-user storm on
+  one event loop over 4 shards that must complete with zero failures in
+  process mode.
+* **Tier parity** — one read sequence moves the frontend's result cache the
+  same way in both tiers, and a process-tier read after a refresh is folded
+  in the frontend without a dispatch.
+* **Stats contract** — the ``stats_snapshot()`` keys the repo benchmark
+  reads, in both tiers and summed over an async frontend's shards.
 
 The process-tier tests spawn real worker processes (seconds, not
 milliseconds); they are sized so the whole file stays well inside the CI
@@ -26,6 +31,8 @@ milliseconds); they are sized so the whole file stays well inside the CI
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import json
 import os
 import pickle
@@ -40,7 +47,7 @@ from repro.datasets import covid_query_log, generate_state_regions, load_covid_c
 from repro.engine.catalog import Catalog
 from repro.engine.options import ExecOptions
 from repro.engine.table import Table
-from repro.errors import AdmissionError, WorkerError
+from repro.errors import WorkerError
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.serving import (
     AsyncInterfaceService,
@@ -48,6 +55,7 @@ from repro.serving import (
     InterfaceService,
     ProcessExecutionTier,
     ServiceConfig,
+    ServiceStats,
     WorkloadMix,
 )
 from repro.serving.workers import _run_task, _WorkerState
@@ -253,7 +261,7 @@ class TestWorkerSizing:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         with ProcessExecutionTier() as tier:
             assert tier.processes == 1
-            assert tier.stats_snapshot()["workers"] == 1
+            assert tier.stats_snapshot()["worker_processes"] == 1
 
     def test_service_records_resolved_worker_count(self, monkeypatch):
         import os
@@ -393,7 +401,7 @@ class TestAsyncFrontend:
     def test_tenant_routing_is_stable_and_spreads(self):
         frontend = AsyncInterfaceService(
             [load_covid_catalog() for _ in range(4)],
-            ServiceConfig(shards=4),
+            ServiceConfig(),
         )
         try:
             routes = {f"tenant-{i}": frontend.shard_for(f"tenant-{i}") for i in range(64)}
@@ -404,13 +412,6 @@ class TestAsyncFrontend:
             assert len(set(routes.values())) == 4
         finally:
             frontend.close_sync()
-
-    def test_shard_count_must_match_catalog_count(self):
-        with pytest.raises(AdmissionError):
-            AsyncInterfaceService(
-                [load_covid_catalog(), load_covid_catalog()],
-                ServiceConfig(shards=3),
-            )
 
     def test_storm_256_async_users_process_tier_zero_failures(self):
         log = covid_query_log()
@@ -423,7 +424,6 @@ class TestAsyncFrontend:
                 max_pending=1024,
                 execution_tier="process",
                 worker_processes=2,
-                shards=4,
             ),
         )
         try:
@@ -448,3 +448,129 @@ class TestAsyncFrontend:
         # All four shards share one tier; shipping happened and paid off.
         assert stats["snapshot_ships"] > 0
         assert stats["worker_snapshot_cache_hits"] > 0
+
+
+def single_worker_config(tier: str) -> ServiceConfig:
+    return ServiceConfig(max_workers=2, profile_workers=0, execution_tier=tier, worker_processes=1)
+
+
+class TestTierParity:
+    """A query means the same thing whichever tier serves it."""
+
+    QUERY = "SELECT state, count(*) AS n FROM covid_cases GROUP BY state"
+    STEPS = (
+        ExecOptions(optimize=False),
+        ExecOptions(),
+        ExecOptions(),
+        ExecOptions(optimize=False),
+        ExecOptions(use_cache=False),
+    )
+
+    def read_trace(self, tier: str, identity_calls: list) -> list:
+        """Per step: the rows, the frontend cache counters moved, cache_identity calls."""
+        trace = []
+        with InterfaceService(load_covid_catalog(), single_worker_config(tier)) as service:
+            session = service.create_session("parity")
+            for options in self.STEPS:
+                before, calls = service.catalog.cache_stats(), len(identity_calls)
+                result = service.execute(session.session_id, self.QUERY, options)
+                after = service.catalog.cache_stats()
+                moved = {key: after[key] - before[key] for key in ("hits", "misses", "bypassed")}
+                trace.append((sorted(result.rows), moved, len(identity_calls) - calls))
+        return trace
+
+    def test_one_read_sequence_moves_the_frontend_cache_identically(self, monkeypatch):
+        from repro.engine import catalog as catalog_module
+
+        calls: list = []
+        identity = catalog_module.cache_identity
+
+        def counting_identity(*args):
+            calls.append(args)
+            return identity(*args)
+
+        monkeypatch.setattr(catalog_module, "cache_identity", counting_identity)
+        thread = self.read_trace("thread", calls)
+        process = self.read_trace("process", calls)
+        assert process == thread
+        # Unoptimized and uncached reads skip the cache; the second default
+        # read is the only hit.
+        assert [step[2] for step in thread] == [0, 1, 1, 0, 0]
+        assert [step[1] for step in thread] == [
+            {"hits": 0, "misses": 0, "bypassed": 1},
+            {"hits": 0, "misses": 1, "bypassed": 0},
+            {"hits": 1, "misses": 0, "bypassed": 0},
+            {"hits": 0, "misses": 0, "bypassed": 1},
+            {"hits": 0, "misses": 0, "bypassed": 0},
+        ]
+
+    def test_read_after_refresh_is_folded_in_the_frontend(self):
+        query = "SELECT count(*) AS n FROM covid_cases"
+        with InterfaceService(load_covid_catalog(), single_worker_config("process")) as service:
+            session = service.create_session("fold")
+            first = service.execute(session.session_id, query)
+            service.ingest("covid_cases", [["ZZ", "2021-12-31", 4]])
+            session.refresh()
+            before = service.stats_snapshot()
+            folded = service.execute(session.session_id, query)
+            after = service.stats_snapshot()
+        assert folded.rows == [(first.rows[0][0] + 1,)]
+        assert after["ivm_folds"] == before["ivm_folds"] + 1
+        assert after["tasks_dispatched"] == before["tasks_dispatched"]
+
+
+#: ``stats_snapshot()`` keys perfbench's serving metrics read in both tiers.
+BENCHMARK_SERVICE_KEYS = ("frontend_queue_wait_p50_ms", "frontend_queue_wait_p95_ms", "rejected", "shed")
+#: ...and the ones only the process tier reports.
+BENCHMARK_TIER_KEYS = (
+    "snapshot_ships",
+    "worker_snapshot_cache_hits",
+    "process_queue_wait_p95_ms",
+    "tasks_retried",
+)
+
+
+class TestStatsContract:
+    @pytest.mark.parametrize("tier", ["thread", "process"])
+    def test_service_reports_the_benchmark_keys(self, tier):
+        with InterfaceService(load_covid_catalog(), single_worker_config(tier)) as service:
+            session = service.create_session("stats")
+            service.execute(session.session_id, covid_query_log()[0])
+            stats = service.stats_snapshot()
+        for key in BENCHMARK_SERVICE_KEYS:
+            assert key in stats, key
+        assert (stats["submitted"], stats["completed"], stats["rejected"]) == (1, 1, 0)
+        if tier == "thread":
+            assert stats["worker_processes"] is None
+            assert not set(BENCHMARK_TIER_KEYS) & set(stats)
+        else:
+            for key in BENCHMARK_TIER_KEYS:
+                assert key in stats, key
+            assert (stats["worker_processes"], stats["snapshot_ships"]) == (1, 1)
+
+    def test_async_frontend_sums_shards_and_reads_the_tier_once(self):
+        query = covid_query_log()[0]
+        frontend = AsyncInterfaceService(
+            [load_covid_catalog(), load_covid_catalog()], single_worker_config("process")
+        )
+        tenants = {frontend.shard_for(f"tenant-{i}"): f"tenant-{i}" for i in range(16)}
+
+        async def drive():
+            first = await frontend.open_session(tenants[0])
+            second = await frontend.open_session(tenants[1])
+            for handle in (first, first, second):
+                await frontend.execute(handle, query)
+
+        try:
+            asyncio.run(drive())
+            stats = frontend.stats_snapshot()
+            tier_stats = frontend._tier.stats_snapshot()
+        finally:
+            frontend.close_sync()
+        for stat in dataclasses.fields(ServiceStats):
+            assert stats[stat.name] == sum(shard[stat.name] for shard in stats["per_shard"])
+        assert (stats["shards"], stats["submitted"], stats["sessions_opened"]) == (2, 3, 2)
+        assert {key: stats[key] for key in tier_stats} == tier_stats
+        # Shard 0's second read hits its own frontend cache; each catalog
+        # ships once.
+        assert (stats["tasks_dispatched"], stats["snapshot_ships"]) == (2, 2)
