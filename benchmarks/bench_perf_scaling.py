@@ -72,8 +72,6 @@ def test_perf_scaling_with_log_size(benchmark, covid_catalog, covid_v3_log):
             result.interface.visualization_count,
             result.interface.widget_count + result.interface.interaction_count,
             round(result.total_cost, 2),
-            result.stats.queries_executed,
-            result.stats.query_cache_hits + result.stats.profile_cache_hits,
             result.stats.tree_evals_reused,
         ]
         for size, elapsed, result in measurements
@@ -87,8 +85,6 @@ def test_perf_scaling_with_log_size(benchmark, covid_catalog, covid_v3_log):
             "Charts",
             "Interactive components",
             "Cost",
-            "Executed",
-            "Profile hits",
             "Trees reused",
         ],
         rows,

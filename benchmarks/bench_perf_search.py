@@ -1,16 +1,15 @@
 """Perf P4 — incremental search throughput across strategies.
 
 PR 3 made candidate evaluation O(changed trees): per-tree signatures, cached
-profiles / chart templates / widget pieces, signature-keyed coverage checks
-and data profiling.  This bench measures what that buys on synthetic query
-logs of 10–20 structurally-related queries (the size where the forest is large
-enough for incrementality to matter):
+profiles / chart templates / widget pieces and signature-keyed coverage
+checks.  This bench measures what that buys on synthetic query logs of 10–20
+structurally-related queries (the size where the forest is large enough for
+incrementality to matter):
 
 * candidates evaluated per second, per strategy (greedy / mcts / beam /
   exhaustive-small),
-* per-tree cache hit rates (profile pieces and data-profile rows),
-* the evaluation-cache hit rate and the engine-level query split
-  (executed vs result-cache hits).
+* per-tree cache hit rates (tree profiles and widget pieces),
+* the evaluation-cache hit rate.
 
 Set ``BENCH_SEARCH_JSON=/path/to/BENCH_search.json`` to also write the
 measurements as JSON — CI uploads that artifact so the perf trajectory stays
@@ -64,7 +63,6 @@ def run_strategy(catalog, queries, name):
     tree_total = stats.tree_evals_reused + stats.tree_evals_computed
     piece_info = cache_info["pieces"]
     piece_lookups = piece_info["hits"] + piece_info["misses"]
-    profiled = stats.queries_executed + stats.query_cache_hits + stats.profile_cache_hits
     return {
         "strategy": name,
         "queries": len(queries),
@@ -78,12 +76,6 @@ def run_strategy(catalog, queries, name):
         "piece_cache_hit_rate": (
             piece_info["hits"] / piece_lookups if piece_lookups else 0.0
         ),
-        "data_profile_hit_rate": (
-            (stats.query_cache_hits + stats.profile_cache_hits) / profiled if profiled else 0.0
-        ),
-        "queries_executed": stats.queries_executed,
-        "query_cache_hits": stats.query_cache_hits,
-        "profile_cache_hits": stats.profile_cache_hits,
     }
 
 
@@ -121,9 +113,6 @@ def _print_tables(measurements):
             "Eval-cache",
             "Tree reuse",
             "Widget pieces",
-            "Data-profile",
-            "Executed",
-            "Result hits",
         ],
         [
             [
@@ -132,9 +121,6 @@ def _print_tables(measurements):
                 f"{m['eval_cache_hit_rate'] * 100:.0f}%",
                 f"{m['tree_reuse_rate'] * 100:.0f}%",
                 f"{m['piece_cache_hit_rate'] * 100:.0f}%",
-                f"{m['data_profile_hit_rate'] * 100:.0f}%",
-                m["queries_executed"],
-                m["query_cache_hits"],
             ]
             for m in measurements
         ],
@@ -171,8 +157,6 @@ def test_perf_search_strategies(benchmark, covid_catalog):
     # Incrementality gate: on the largest log, most per-tree work is reuse.
     largest = [m for m in measurements if m["queries"] == max(s for s in sizes)]
     assert all(m["tree_reuse_rate"] > 0.5 for m in largest if m["strategy"] != "greedy")
-    # The data-profile path must be dominated by cache hits, not executions.
-    assert all(m["data_profile_hit_rate"] > 0.5 for m in largest)
 
 
 def test_perf_search_single(benchmark, covid_catalog):

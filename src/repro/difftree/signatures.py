@@ -203,8 +203,8 @@ def structure_key(node: SqlNode) -> ExactKey:
 
     ``(structural_signature, choice_sharing)`` as an O(1)-hashing cache key.
     Everything that never looks at the ids themselves — coverage verdicts,
-    profiles (after an id remap), chart templates, default-query row counts
-    and filter-attribute sets — keys on it.
+    profiles (after an id remap), chart templates and filter-attribute
+    sets — keys on it.
     """
     try:
         return node._repro_structure_key  # type: ignore[attr-defined]
@@ -325,7 +325,6 @@ STRUCTURE_CACHE_CAPACITIES = {
     "coverage": 4096,
     "profiles": 512,
     "charts": 512,
-    "rows": 512,
     "filter_attributes": 512,
 }
 COVERAGE_MEMO_CAPACITY = STRUCTURE_CACHE_CAPACITIES["coverage"]
@@ -342,8 +341,6 @@ class StructureCaches:
     * ``coverage`` — ``(structure key, canonical target SQL)`` → verdict;
     * ``profiles`` — ``(structure key, schemas)`` → (choice ids, profile);
     * ``charts`` — ``(structure key, schemas)`` → chart template;
-    * ``rows`` — ``(structure key, (catalog id, data version))`` → the
-      default query's row count;
     * ``filter_attributes`` — structure key → attribute set.
 
     A catalog owns one set of :class:`SharedLruDict` caches, which every

@@ -12,9 +12,9 @@ or ASTs through the planner/executor.  It also owns the two execution caches:
   execution entirely.
 
 Beside them it owns the **structure caches** interface generation keeps its
-per-structure facts in — coverage verdicts, tree profiles, chart templates,
-default-query row counts and filter-attribute sets (bounded, thread-safe,
-shared by every snapshot) — and a bounded memo of parsed ASTs that
+per-structure facts in — coverage verdicts, tree profiles, chart templates
+and filter-attribute sets (bounded, thread-safe, shared by every
+snapshot) — and a bounded memo of parsed ASTs that
 generation reads its query log through, so repeated generations on one
 catalog reuse both.
 
@@ -113,7 +113,7 @@ class Catalog:
         self._query_cache = QueryCache(capacity=query_cache_capacity)
         #: Per-structure facts of interface generation (see
         #: ``StructureCaches``).  Each key carries whatever the fact depends
-        #: on besides the tree — schemas, data version — so writers leave the
+        #: on besides the tree — the schemas — so writers leave the
         #: caches alone and they live as long as the catalog lineage: every
         #: snapshot shares them, and each generation on this catalog starts
         #: warm.

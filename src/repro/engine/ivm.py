@@ -19,6 +19,14 @@ rescan per refresh.  This module folds appends forward instead (the classic
   the first fold (append-only tables guarantee rows ``[0, base_rows)`` are
   the base-version rows), so a never-folded entry costs nothing extra.
 
+Either shape may sit under an ORDER BY whose keys are output columns.  Both
+folders keep their state unsorted, in table order, and stably sort every
+emitted result (intermediate versions included) with the engine's own
+``SortExec`` — the same operator over the same input order a cold recompute
+runs.  A sorted splice cannot recover table order from its sorted cold
+result, so it primes its rows lazily from the table prefix, like the
+aggregate folder.
+
 Maintainability is decided by :func:`repro.engine.optimizer.maintainable_shape`
 over the *pre-rewrite* logical plan and memoized here by canonical SQL.
 Folders live in the :class:`~repro.engine.query_cache.QueryCache` keyed by
@@ -26,10 +34,11 @@ canonical SQL (no data version — outliving version bumps is their purpose)
 and hold their own result state, so LRU eviction of a cache *entry* never
 destroys the fold state that can rebuild it.
 
-Correctness bar: a folded result must be bag-equal (and in practice
-row-order-identical — folds feed rows in table order, exactly like a cold
-scan) to an ``ExecOptions(use_cache=False)`` recompute.  Any doubt inside a
-folder resolves to ``None`` → the caller counts a fallback and recomputes.
+Correctness bar: a folded result must be row-order-identical to an
+``ExecOptions(use_cache=False)`` recompute — folds feed rows in table order,
+exactly like a cold scan, and sort them with the cold plan's operator.  Any
+doubt inside a folder resolves to ``None`` → the caller counts a fallback
+and recomputes.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from typing import Any
 from repro.engine.aggregates import make_accumulator
 from repro.engine.expressions import Batch, VectorEvaluator
 from repro.engine.optimizer import MaintainableShape, maintainable_shape
-from repro.engine.plan_nodes import ProjectExec, aggregate_call_specs, hashable
+from repro.engine.plan_nodes import ProjectExec, SortExec, aggregate_call_specs, hashable
 from repro.engine.planner import Planner
 from repro.engine.table import QueryResult
 from repro.sql.ast_nodes import Select, SqlNode, Star
@@ -275,7 +284,9 @@ class DeltaFolder:
         raise NotImplementedError
 
     def _current_result(self, snapshot) -> QueryResult:
-        raise NotImplementedError
+        """The result at the folder's own version, after its entry was evicted."""
+        self._ensure_primed(snapshot.table(self._shape.table_name))
+        return self._emit(snapshot)
 
     # -- shared plumbing ------------------------------------------------- #
 
@@ -298,16 +309,38 @@ class DeltaFolder:
             items=list(self._shape.items), input=_PrebuiltBatch(batch), allow_star=allow_star
         ).execute(None)
 
-    def _infer_schema(self, snapshot, columns: list[str], column_vectors: list[list[Any]]):
+    def _ordered(
+        self, snapshot, names: list[str], columns: list[list[Any]], length: int
+    ) -> list[list[Any]]:
+        """Fresh copies of the output columns, in ORDER BY order when the query sorts.
+
+        The shape analysis guarantees every key is an output column, so
+        ``SortExec`` only reads key vectors off ``columns``; stable sorting
+        of table-ordered rows reproduces the cold plan's order exactly.
+        """
+        if not self._shape.order_by or length == 0:
+            return [list(column) for column in columns]
         # Imported lazily: the executor module is heavyweight and ivm is
         # imported by the catalog at startup.
+        from repro.engine.executor import ExecutionContext
+
+        batch = Batch(slots=[("", name) for name in names], columns=columns, length=length)
+        sort = SortExec(order_by=list(self._shape.order_by), input=_PrebuiltBatch(batch))
+        return sort.execute(ExecutionContext(None, snapshot, {}, None, {})).columns
+
+    def _infer_schema(self, snapshot, columns: list[str], column_vectors: list[list[Any]]):
         from repro.engine.executor import infer_result_schema
 
         return infer_result_schema(snapshot, self._node, columns, column_vectors)
 
 
 class SpliceFolder(DeltaFolder):
-    """Fold for scan/filter/project shapes: append projected delta rows."""
+    """Fold for scan/filter/project shapes: append projected delta rows.
+
+    An unsorted cold result is the table-ordered state itself; a sorted one
+    is not, so a sorted splice primes its rows from the table prefix on the
+    first fold instead.
+    """
 
     def __init__(
         self,
@@ -322,11 +355,25 @@ class SpliceFolder(DeltaFolder):
         if len(set(result.columns)) != len(result.columns):
             raise ValueError("duplicate output columns are not splice-maintainable")
         self._result_columns = list(result.columns)
-        self._column_data = [result.column_values(name) for name in result.columns]
-        self._row_count = result.row_count
-        self._schema = result.schema
+        self._column_data: list[list[Any]] | None = None
+        self._row_count = 0
+        self._schema = None
+        if not shape.order_by:
+            self._column_data = [result.column_values(name) for name in result.columns]
+            self._row_count = result.row_count
+            self._schema = result.schema
+
+    def _ensure_primed(self, table) -> bool:
+        if self._column_data is None:
+            self._column_data = [[] for _ in self._result_columns]
+            self._splice(table, 0, self._rows_seen)
+        return True
 
     def _apply(self, table, start: int, end: int) -> None:
+        self._splice(table, start, end)
+        self._schema = None  # recompute lazily: new values may widen types
+
+    def _splice(self, table, start: int, end: int) -> None:
         batch = self._filtered(self._slice_batch(table, start, end))
         if batch.length == 0:
             return
@@ -337,20 +384,17 @@ class SpliceFolder(DeltaFolder):
         for column_data, delta in zip(self._column_data, projected.columns):
             column_data.extend(delta)
         self._row_count += projected.length
-        self._schema = None  # recompute lazily: new values may widen types
 
     def _emit(self, snapshot) -> QueryResult:
-        return self._current_result(snapshot)
-
-    def _current_result(self, snapshot) -> QueryResult:
+        columns = self._ordered(
+            snapshot, self._result_columns, self._column_data, self._row_count
+        )
         if self._schema is None:
-            self._schema = self._infer_schema(
-                snapshot, self._result_columns, self._column_data
-            )
+            self._schema = self._infer_schema(snapshot, self._result_columns, columns)
         return QueryResult(
             columns=list(self._result_columns),
             schema=self._schema,
-            column_data=[list(column) for column in self._column_data],
+            column_data=columns,
             row_count=self._row_count,
         )
 
@@ -374,7 +418,6 @@ class AggregateFolder(DeltaFolder):
         base_version: tuple,
         base_rows: int,
         column_names: list[str],
-        result: QueryResult,
     ) -> None:
         super().__init__(shape, node, base_version, base_rows, column_names)
         self._calls = list(shape.aggregates)
@@ -396,7 +439,6 @@ class AggregateFolder(DeltaFolder):
                 [make_accumulator(call.name, is_star=flag, distinct=call.distinct)]
                 for call, flag in zip(self._calls, self._star_flags)
             ]
-        self._current = result.copy()
 
     def _ensure_primed(self, table) -> bool:
         if self._primed:
@@ -495,17 +537,13 @@ class AggregateFolder(DeltaFolder):
             )
         projected = self._project(batch, allow_star=False)
         columns = [name for _, name in projected.slots]
-        result = QueryResult(
+        column_data = self._ordered(snapshot, columns, projected.columns, projected.length)
+        return QueryResult(
             columns=columns,
-            schema=self._infer_schema(snapshot, columns, projected.columns),
-            column_data=[list(column) for column in projected.columns],
+            schema=self._infer_schema(snapshot, columns, column_data),
+            column_data=column_data,
             row_count=projected.length,
         )
-        self._current = result
-        return result.copy()
-
-    def _current_result(self, snapshot) -> QueryResult:
-        return self._current.copy()
 
 
 def make_folder(
@@ -525,6 +563,4 @@ def make_folder(
         return SpliceFolder(
             shape, node, base_version, table.row_count, column_names, result
         )
-    return AggregateFolder(
-        shape, node, base_version, table.row_count, column_names, result
-    )
+    return AggregateFolder(shape, node, base_version, table.row_count, column_names)

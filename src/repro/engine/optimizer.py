@@ -88,6 +88,7 @@ from repro.sql.ast_nodes import (
     Literal,
     Parameter,
     Select,
+    SelectItem,
     SqlNode,
     Star,
     UnaryOp,
@@ -564,9 +565,10 @@ class MaintainableShape:
     """The pieces of a logical plan the delta-fold path re-executes.
 
     A *maintainable* query (see :func:`maintainable_shape`) reads one base
-    table through at most a WHERE filter and an optional GROUP BY aggregation;
-    the folder in ``engine/ivm.py`` replays exactly these pieces over each
-    appended row range instead of recomputing the full query.
+    table through at most a WHERE filter and an optional GROUP BY aggregation,
+    optionally sorted by output columns; the folder in ``engine/ivm.py``
+    replays exactly these pieces over each appended row range instead of
+    recomputing the full query.
     """
 
     kind: str  # "splice" (scan/filter/project) or "aggregate" (+ GROUP BY)
@@ -576,29 +578,41 @@ class MaintainableShape:
     predicate: SqlNode | None  # WHERE predicate, or None
     group_by: list  # GROUP BY expressions (empty for splice / global agg)
     aggregates: list  # aggregate FunctionCall ASTs (empty for splice)
+    order_by: list = field(default_factory=list)  # ORDER BY items (OrderItem), or empty
 
     def describe(self) -> str:
-        return f"{self.kind} over {self.table_name}"
+        sorted_suffix = ", sorted" if self.order_by else ""
+        return f"{self.kind} over {self.table_name}{sorted_suffix}"
 
 
 def maintainable_shape(plan: PlanNode) -> tuple[MaintainableShape | None, str]:
     """Classify a *pre-rewrite* logical plan as IVM-maintainable or not.
 
     Returns ``(shape, detail)`` — ``shape`` is None with a human-readable
-    refusal reason when the plan cannot be maintained incrementally.  v1
+    refusal reason when the plan cannot be maintained incrementally.  It
     accepts exactly two shapes over a single base-table scan:
 
     * ``Project(Filter[where]?(Scan))`` — appended rows are filtered,
       projected and spliced onto the cached result;
     * ``Project(Aggregate(Filter[where]?(Scan)))`` — appended rows fold into
-      per-group accumulator state.
+      per-group accumulator state;
 
-    Everything else — joins, windows, HAVING, DISTINCT, ORDER BY, LIMIT,
-    set operations, CTEs, derived tables, subqueries, parameters — falls back
-    to full recompute-on-miss.  The analysis runs on the planner's output
-    (before optimization), so the shape is a pure function of the query text.
+    either one optionally under a ``Sort`` whose every key resolves to an
+    output column the way ``SortExec`` resolves it (a 1-based position, a
+    column name or an output name): the folder keeps its state in table
+    order and sorts each emitted result with ``SortExec``.
+
+    Everything else — joins, windows, HAVING, DISTINCT, LIMIT/OFFSET, other
+    ORDER BY keys, set operations, CTEs, derived tables, subqueries,
+    parameters — falls back to full recompute-on-miss.  The analysis runs on
+    the planner's output (before optimization), so the shape is a pure
+    function of the query text.
     """
     node = plan
+    order_by: list = []
+    if isinstance(node, SortNode):
+        order_by = list(node.order_by)
+        node = node.input
     if not isinstance(node, ProjectNode):
         return None, f"{type(node).__name__} above the projection"
     items = node.items
@@ -637,6 +651,9 @@ def maintainable_shape(plan: PlanNode) -> tuple[MaintainableShape | None, str]:
                 return None, "parameter reference"
             if isinstance(descendant, WindowCall):
                 return None, "window call"
+    for order_item in order_by:
+        if not _sorts_by_output_column(order_item.expr, items):
+            return None, f"ORDER BY {to_sql(order_item.expr)} is not an output column"
 
     shape = MaintainableShape(
         kind="aggregate" if aggregate is not None else "splice",
@@ -646,8 +663,26 @@ def maintainable_shape(plan: PlanNode) -> tuple[MaintainableShape | None, str]:
         predicate=predicate,
         group_by=list(aggregate.group_by) if aggregate is not None else [],
         aggregates=list(aggregate.aggregates) if aggregate is not None else [],
+        order_by=order_by,
     )
     return shape, shape.describe()
+
+
+def _sorts_by_output_column(key: SqlNode, items: list[SelectItem]) -> bool:
+    """True when ``SortExec`` reads ``key`` off an output column, never evaluating it.
+
+    Mirrors ``SortExec._key_vector``: a 1-based position, a column name or
+    an expression's output name.  Under ``*`` the output columns are only
+    known at run time, so a position or a column reference is accepted
+    there: it resolves, or the cold query fails before any folder exists.
+    """
+    star = any(isinstance(item.expr, Star) for item in items)
+    if isinstance(key, Literal) and isinstance(key.value, int):
+        return star or 1 <= key.value <= len(items)
+    names = {item.output_name() for item in items}
+    if isinstance(key, ColumnRef) and (star or key.name in names):
+        return True
+    return SelectItem(expr=key).output_name() in names
 
 
 # --------------------------------------------------------------------------- #

@@ -110,12 +110,21 @@ def cache_identity(
 
     The canonical text is the version-independent half of the key; the
     incremental-maintenance plane addresses delta folders by it (a folder
-    outlives version bumps, unlike a cache entry).
+    outlives version bumps, unlike a cache entry).  The parameter check and
+    the canonical text are memoized on the immutable node (None when it
+    holds a parameter), so a repeated read of one parsed query — the
+    catalog's AST memo hands every read of one SQL text the same node —
+    skips the walk, the canonicalization and the print.
     """
-    for descendant in node.walk():
-        if isinstance(descendant, Parameter):
-            return None, None
-    canonical = canonical_text(node)
+    try:
+        canonical = node._repro_cache_canonical  # type: ignore[attr-defined]
+    except AttributeError:
+        canonical = None
+        if not any(isinstance(descendant, Parameter) for descendant in node.walk()):
+            canonical = canonical_text(node)
+        object.__setattr__(node, "_repro_cache_canonical", canonical)
+    if canonical is None:
+        return None, None
     return versioned_key(canonical, data_version), canonical
 
 

@@ -31,7 +31,7 @@ from repro.sql.printer import to_sql
 
 @dataclass
 class EventRecord:
-    """One recorded state-changing event (for history/undo and tests)."""
+    """What one state-changing event did: the SQL each affected tree now issues."""
 
     component_id: str
     payload: Any
@@ -48,7 +48,6 @@ class InterfaceState:
         self.bindings: dict[int, dict[str, Any]] = {
             index: default_bindings(tree) for index, tree in enumerate(interface.forest.trees)
         }
-        self.history: list[EventRecord] = []
         #: Per tree: (catalog data version, result of its current query).
         self._cache: dict[int, tuple[tuple, QueryResult]] = {}
 
@@ -191,11 +190,9 @@ class InterfaceState:
 
     def _record(self, component_id: str, payload: Any, bindings: list[ChoiceBinding]) -> EventRecord:
         affected = tuple(sorted({binding.tree_index for binding in bindings}))
-        record = EventRecord(
+        return EventRecord(
             component_id=component_id,
             payload=payload,
             affected_trees=affected,
             sql_after={index: self.current_sql(index) for index in affected},
         )
-        self.history.append(record)
-        return record

@@ -57,10 +57,6 @@ class PipelineConfig:
     mapping_policy: MappingPolicy = field(default_factory=MappingPolicy)
     initial_strategy: str = "per_query"
     name: str = "interface"
-    #: Execute each candidate's default queries against the catalog during
-    #: search (through the canonical-query result cache), yielding real data
-    #: profiles for the evaluated interfaces.
-    profile_data: bool = True
 
 
 @dataclass
@@ -94,9 +90,6 @@ class GenerationResult:
             "trees": self.forest.tree_count,
             "candidates_evaluated": self.stats.evaluations,
             "evaluation_cache_hits": self.stats.cache_hits,
-            "queries_executed": self.stats.queries_executed,
-            "query_cache_hits": self.stats.query_cache_hits,
-            "profile_cache_hits": self.stats.profile_cache_hits,
             "tree_evals_reused": self.stats.tree_evals_reused,
             "tree_evals_computed": self.stats.tree_evals_computed,
             "elapsed_seconds": round(self.elapsed_seconds, 4),
@@ -108,7 +101,6 @@ def generate_interface(
     queries: Sequence[str],
     catalog: Catalog,
     config: PipelineConfig | None = None,
-    profile_executor=None,
 ) -> GenerationResult:
     """Generate an interactive visualization interface from a SQL query log.
 
@@ -126,9 +118,6 @@ def generate_interface(
             ``clear_caches()``.
         config: Pipeline configuration; defaults to MCTS search on a
             medium-sized screen.
-        profile_executor: optional ``concurrent.futures`` executor the search
-            fans per-tree data profiling out on (must not be the pool this
-            call itself runs on — see :class:`~repro.search.space.SearchSpace`).
     """
     if not queries:
         raise ReproError("generate_interface requires at least one query")
@@ -151,8 +140,7 @@ def generate_interface(
         mapping_config=mapping_config,
         cost_model=cost_model,
         initial_strategy=config.initial_strategy,
-        catalog=catalog if config.profile_data else None,
-        profile_executor=profile_executor if config.profile_data else None,
+        catalog=catalog,
     )
 
     if config.method == "mcts":

@@ -19,12 +19,12 @@ strategy's budget allows.
 
 Evaluation is **incremental**: every action touches one or two trees (its
 :attr:`Action.touched` delta) while the rest of the forest is structure-shared
-with the parent state, so all per-tree work — profiling, chart templates,
-widget mapping pieces, coverage checks, and default-query data profiling — is
-cached by per-tree key (:mod:`repro.difftree.signatures`) and
-reused for unchanged trees.  Only the genuinely tree-coupled steps (layout,
-the duplicate-chart penalty, id renumbering) run globally per candidate, which
-makes one evaluation O(changed trees) instead of O(forest).
+with the parent state, so all per-tree work — tree profiles, chart templates,
+widget mapping pieces and coverage checks — is cached by per-tree key
+(:mod:`repro.difftree.signatures`) and reused for unchanged trees; no
+candidate's queries are executed.  Only the genuinely tree-coupled steps
+(layout, the duplicate-chart penalty, id renumbering) run globally per
+candidate, which makes one evaluation O(changed trees) instead of O(forest).
 
 The caches whose facts never mention choice ids live on the catalog
 (:class:`~repro.difftree.signatures.StructureCaches`), so a generation pays
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 from repro.cost.model import CostBreakdown, CostModel
 from repro.difftree.builder import DifftreeForest, build_forest
 from repro.difftree.canonical import queries_share_source, structural_similarity
-from repro.difftree.signatures import ExactKey, LruDict, StructureCaches, structure_key, tree_key
+from repro.difftree.signatures import LruDict, StructureCaches, tree_key
 from repro.difftree.transformations import applicable_transformations
 from repro.errors import SearchError
 from repro.interface.interface import Interface
@@ -81,16 +81,10 @@ class Action:
 
 @dataclass
 class Evaluation:
-    """The mapped interface and its cost for one state.
-
-    ``data_rows`` holds, per Difftree, the row count of the tree's default
-    instantiation executed against the catalog (None when the space was built
-    without a catalog, or -1 when that tree's query failed to execute).
-    """
+    """The mapped interface and its cost for one state."""
 
     interface: Interface
     cost: CostBreakdown
-    data_rows: tuple[int, ...] | None = None
 
     @property
     def total_cost(self) -> float:
@@ -101,15 +95,13 @@ class Evaluation:
 class SearchStats:
     """Bookkeeping shared by all search strategies.
 
-    ``queries_executed`` counts queries the engine *actually executed* during
-    data profiling; ``query_cache_hits`` counts profiling queries answered by
-    the catalog's canonical-query result cache (both sourced from
-    ``Catalog.cache_stats()`` deltas).  ``profile_cache_hits`` counts trees
-    whose row counts were reused from the per-tree profile cache without
-    touching the catalog at all.  ``tree_evals_reused`` / ``tree_evals_computed``
-    account per-tree incremental reuse across candidate evaluations,
-    observed from the per-tree profile cache rather than inferred from
-    action deltas.
+    ``tree_evals_reused`` / ``tree_evals_computed`` account per-tree
+    incremental reuse across candidate evaluations, observed from the
+    per-tree profile cache rather than inferred from action deltas.
+
+    ``queries_executed``, ``query_cache_hits`` and ``profile_cache_hits``
+    always read 0, because a search executes no queries; they stay because
+    the repository benchmark's ``generate`` workload reads them by name.
     """
 
     evaluations: int = 0
@@ -150,34 +142,16 @@ class SearchSpace:
         cost_model: CostModel | None = None,
         initial_strategy: str = "per_query",
         catalog=None,
-        profile_executor=None,
     ) -> None:
         if not queries:
             raise SearchError("Cannot search over an empty query log")
         self.table_schemas = table_schemas
-        #: Optional live catalog (or a pinned
-        #: :class:`~repro.engine.catalog.CatalogSnapshot`, which the serving
-        #: layer passes so one generation run sees one consistent data
-        #: version).  When present, every candidate evaluation also executes
-        #: each tree's default instantiation through the catalog's
-        #: canonical-query cache — sibling candidates share most trees, so
-        #: the repeated queries are cache hits and the search gets real data
-        #: profiles (row counts) almost for free.
-        self.catalog = catalog
-        #: Optional ``concurrent.futures`` executor.  When set, the per-tree
-        #: default-query executions a candidate evaluation actually misses on
-        #: (the signature-cache decomposition already de-duplicates the rest)
-        #: are fanned out across its workers.  Results are deterministic —
-        #: row counts do not depend on completion order — but the executor
-        #: must not be the pool the evaluation itself runs on (a saturated
-        #: pool waiting on itself deadlocks); the serving layer dedicates a
-        #: separate profile pool.
-        self.profile_executor = profile_executor
         self.mapping_config = mapping_config or MappingConfig()
         self.cost_model = cost_model or CostModel()
         self.initial_state = build_forest(queries, strategy=initial_strategy)
         self._cache: dict[tuple, Evaluation] = {}
-        # The catalog's structure caches, or private ones of the same bounds.
+        # The structure caches of ``catalog`` (a live catalog or a pinned
+        # snapshot, which shares them), or private ones of the same bounds.
         caches = catalog.structure_caches if catalog is not None else StructureCaches()
         #: Per-tree mapping caches (profiles, chart templates, widget pieces);
         #: the first two are the structure caches — see MappingCaches.
@@ -186,12 +160,6 @@ class SearchSpace:
             visualizations=caches.charts,
             scope=schema_scope(table_schemas),
         )
-        #: Per-tree default-instantiation row counts, keyed by (structure
-        #: key, (catalog id, data version)) so catalog mutations invalidate
-        #: entries implicitly — and a worker process's caches, shared by
-        #: several catalogs, never confuse two catalogs' lineage-local
-        #: versions.
-        self._rows_cache = caches.rows
         #: Applicable transformations per tree, keyed by tree key and
         #: LRU-bounded (the transformations close over choice ids only, so
         #: they are reusable across equal-key trees within one generation).
@@ -297,8 +265,8 @@ class SearchSpace:
         recomputation regardless of the delta).
 
         The memo ignores choice ids, so a hit may return the evaluation of a
-        forest that differs from this one only in its ids: same cost and row
-        counts, but an interface whose widgets bind the other forest's ids.
+        forest that differs from this one only in its ids: same cost, but an
+        interface whose widgets bind the other forest's ids.
         Strategies read only the cost; :meth:`result` maps the forest it
         returns.
         """
@@ -318,9 +286,7 @@ class SearchSpace:
             caches=self.mapping_caches,
         )
         cost = self.cost_model.evaluate(interface, forest.queries)
-        evaluation = Evaluation(
-            interface=interface, cost=cost, data_rows=self._profile_data(forest)
-        )
+        evaluation = Evaluation(interface=interface, cost=cost)
         self._cache[key] = evaluation
         self.stats.evaluations += 1
         self.stats.tree_evals_reused += profile_stats.hits - hits_before
@@ -328,70 +294,9 @@ class SearchSpace:
         self.stats.elapsed_seconds += time.perf_counter() - started
         return evaluation
 
-    def _profile_data(self, forest: DifftreeForest) -> tuple[int, ...] | None:
-        """Row counts of each tree's default instantiation, incrementally.
-
-        Per-tree results are cached by (structure key, catalog data version),
-        so a candidate evaluation only executes the trees no earlier
-        evaluation on this catalog version profiled — and those usually hit
-        the catalog's canonical-query result cache in turn.  Execution/hit
-        counts are attributed from the catalog's cache statistics so
-        ``SearchStats`` separates real executions from result-cache hits.
-        """
-        if self.catalog is None:
-            return None
-        from repro.difftree.instantiate import instantiate_and_execute
-
-        version = ExactKey((self.catalog.catalog_id, self.catalog.data_version()))
-        cache_stats = self.catalog.query_cache.stats
-        row_counts: list[int | None] = [None] * forest.tree_count
-        missed: list[tuple[int, object, tuple]] = []
-        for index, tree in enumerate(forest.trees):
-            # Default instantiations never depend on choice ids, so row
-            # counts are shared across replayed merges too.
-            key = (structure_key(tree), version)
-            cached = self._rows_cache.get(key)
-            if cached is not None:
-                self.stats.profile_cache_hits += 1
-                row_counts[index] = cached
-            else:
-                missed.append((index, tree, key))
-        if missed:
-            hits_before = cache_stats.hits
-            executed_before = cache_stats.misses + cache_stats.bypassed
-
-            def run(tree) -> int:
-                try:
-                    return instantiate_and_execute(tree, self.catalog).row_count
-                except Exception:  # noqa: BLE001 - odd instantiations must not kill search
-                    return -1
-
-            pool = self.profile_executor
-            if pool is not None and len(missed) > 1:
-                # Fan the cache-missing trees out across the pool.  Duplicate
-                # signatures within one batch execute redundantly (the serial
-                # path would hit the rows cache on the second), but the
-                # engine's result cache makes the repeat nearly free and the
-                # counts are identical either way.
-                counts = list(pool.map(run, [tree for _, tree, _ in missed]))
-            else:
-                counts = [run(tree) for _, tree, _ in missed]
-            for (index, _tree, key), count in zip(missed, counts):
-                self._rows_cache.put(key, count)
-                row_counts[index] = count
-            # Bulk attribution: under a shared serving catalog these counters
-            # can include concurrent sessions' traffic — they are telemetry,
-            # not part of the evaluation result.
-            self.stats.query_cache_hits += cache_stats.hits - hits_before
-            self.stats.queries_executed += (
-                cache_stats.misses + cache_stats.bypassed - executed_before
-            )
-        return tuple(row_counts)
-
     def cache_info(self) -> dict:
         """Hit/size statistics of every per-tree cache (for benches/debugging)."""
         info = self.mapping_caches.stats()
-        info["rows"] = self._rows_cache.stats()
         info["transformations"] = self._transformation_cache.stats()
         info["evaluations"] = {"entries": len(self._cache)}
         return info

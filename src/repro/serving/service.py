@@ -9,10 +9,6 @@ concurrent service.  It owns
 * a bounded **worker pool** (``concurrent.futures.ThreadPoolExecutor``) that
   runs ad-hoc query execution, interface generation and dataset ingest
   concurrently,
-* a dedicated **profile pool** the search layer fans per-tree candidate
-  profiling out on — deliberately separate from the worker pool, because a
-  generation task blocking on futures scheduled into its *own* saturated pool
-  would deadlock,
 * optionally a :class:`ProcessExecutionTier`.  Each operation has one body
   for both tiers: it hands :meth:`InterfaceService._dispatch` the work to
   submit to the tier and the work to run locally, and the thread tier is
@@ -84,7 +80,8 @@ class ServiceConfig:
     #: process tier these threads only *marshal* work (they block GIL-free on
     #: worker pipes), so size this at least as large as ``worker_processes``.
     max_workers: int = 4
-    #: Threads of the dedicated per-tree profile pool (0 disables fan-out).
+    #: Accepted and ignored: generation no longer profiles candidates, so
+    #: there is no profile pool to size.
     profile_workers: int = 2
     #: Hard cap on concurrently open sessions.
     max_sessions: int = 16
@@ -191,13 +188,6 @@ class InterfaceService:
             catalog.fault_hook = faults.executor_hook()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_workers, thread_name_prefix="serve"
-        )
-        self._profile_pool = (
-            ThreadPoolExecutor(
-                max_workers=self.config.profile_workers, thread_name_prefix="profile"
-            )
-            if self.config.profile_workers > 0 and self._process_tier is None
-            else None
         )
         self._queue_waits: deque = deque(maxlen=QUEUE_WAIT_SAMPLE_CAPACITY)
         self._sessions: dict[str, Session] = {}
@@ -377,8 +367,7 @@ class InterfaceService:
         The generation runs against the session's pinned snapshot (one
         consistent data version end to end) and attaches the resulting
         interface to the session on completion.  Thread tier: on the pool
-        thread, with per-tree profiling fanned out across the dedicated
-        profile pool.  Process tier: the query log, config and fingerprint
+        thread.  Process tier: the query log, config and fingerprint
         ship as one task, and the whole search runs inside one worker
         process, so concurrent sessions' generations use separate cores.
         The pipeline is a pure function of snapshot, queries and config, so
@@ -398,12 +387,7 @@ class InterfaceService:
                 lambda: self._process_tier.submit_generate(
                     snapshot, list(queries), generation_config, deadline=deadline
                 ),
-                lambda: generate_interface(
-                    list(queries),
-                    snapshot,
-                    generation_config,
-                    profile_executor=self._profile_pool,
-                ),
+                lambda: generate_interface(list(queries), snapshot, generation_config),
                 deadline,
             )
             session.attach(result)
@@ -560,7 +544,7 @@ class InterfaceService:
         """Stop the service (idempotent).
 
         New submissions and sessions are rejected immediately; with
-        ``wait=True`` the pools drain in-flight tasks *before* the sessions
+        ``wait=True`` the pool drains in-flight tasks *before* the sessions
         are closed, so already-submitted work completes normally instead of
         failing against a closed session.  ``wait=False`` abandons in-flight
         work (tasks may then fail with :class:`SessionError`).
@@ -568,8 +552,6 @@ class InterfaceService:
         with self._lock:
             self._closed = True
         self._pool.shutdown(wait=wait)
-        if self._profile_pool is not None:
-            self._profile_pool.shutdown(wait=wait)
         if self._owns_process_tier:
             self._process_tier.shutdown(wait=wait)
         if self._fault_injector is not None:

@@ -65,7 +65,8 @@ from repro.difftree.signatures import SharedLruDict, StructureCaches
 from repro.engine.catalog import CatalogSnapshot, DetachedParser
 from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.query_cache import QueryCache
-from repro.errors import DeadlineExceededError, QueryTimeoutError, WorkerError
+from repro import errors
+from repro.errors import DeadlineExceededError, WorkerError
 from repro.obs import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -147,7 +148,7 @@ class _WorkerState:
     Snapshots are cached by ``(catalog_id, fingerprint)``.  The parse memo
     and structure caches are shared across catalogs (parsing and coverage
     verdicts are version-independent, and the other structure caches key on
-    the schemas or on the catalog id plus data version).  Result caches are
+    the schemas).  Result caches are
     shared **per catalog id** — result keys embed the data version, which is
     local to one catalog lineage, so two catalogs at equal versions would
     otherwise read each other's results — and compiled-plan caches **per
@@ -766,9 +767,9 @@ class ProcessExecutionTier:
             try:
                 result, hit = self._round_trip(handle, task)
             except _TaskError as exc:
-                # The task failed *inside* a healthy worker (bad SQL, type
-                # error, ...): deterministic, so no respawn, no retry, no
-                # breaker strike.
+                # The task failed *inside* a healthy worker with an error the
+                # engine does not type: deterministic, so no respawn, no
+                # retry, no breaker strike.
                 with self._lock:
                     self.stats.tasks_failed += 1
                 task.future.set_exception(exc)
@@ -787,6 +788,8 @@ class ProcessExecutionTier:
                 task.future.set_exception(self._final_failure(task, exc))
                 continue
             except Exception as exc:  # noqa: BLE001 - never kill the dispatcher
+                # Typed errors from inside the worker (bad SQL, a timeout)
+                # land here too: like _TaskError, no respawn and no retry.
                 with self._lock:
                     self.stats.tasks_failed += 1
                 task.future.set_exception(exc)
@@ -1025,15 +1028,25 @@ class _TaskError(WorkerError):
 
 
 def _map_worker_error(exc_type: str, message: str) -> Exception:
-    """Rehydrate a worker-side error reply into the right frontend type.
+    """Rehydrate a worker-side error reply into the type the thread tier raises.
 
-    Deadline outcomes must survive the process boundary typed — a caller
-    distinguishing "my query timed out" from "the tier is broken" cannot do
-    it from a string.  Everything else stays a :class:`_TaskError` carrying
-    the original type name and text.
+    Errors from :mod:`repro.errors` come back as themselves, looked up by
+    name, so a query means the same in both tiers: a bad query raises its
+    engine error, a deadline outcome its deadline type, and only a real
+    worker failure is a :class:`WorkerError` (which counts against a circuit
+    breaker's recovery probe).  A type whose constructor takes more than the
+    message (``SqlLexError``, ``SqlParseError``: their locations are already
+    in the text) arrives as its nearest ancestor that takes just the
+    message.  Anything else, a ``WorkerError`` raised inside a healthy
+    worker included, stays a :class:`_TaskError` carrying the original type
+    name and text.
     """
-    if exc_type == "QueryTimeoutError":
-        return QueryTimeoutError(message)
-    if exc_type == "DeadlineExceededError":
-        return DeadlineExceededError(message)
-    return _TaskError(f"{exc_type}: {message}")
+    error_type = getattr(errors, exc_type, None)
+    if (
+        not isinstance(error_type, type)
+        or not issubclass(error_type, errors.ReproError)
+        or issubclass(error_type, WorkerError)
+    ):
+        return _TaskError(f"{exc_type}: {message}")
+    plain = next(base for base in error_type.__mro__ if base.__init__ is Exception.__init__)
+    return plain(message)

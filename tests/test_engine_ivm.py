@@ -57,6 +57,12 @@ MAINTAINABLE_QUERIES = [
     "SELECT kind, value FROM events",
     "SELECT kind, value FROM events WHERE value > 4",
     "SELECT * FROM events WHERE region = 'east'",
+    "SELECT kind, value FROM events ORDER BY kind",
+    "SELECT kind, value FROM events WHERE value > 4 ORDER BY value DESC",
+    "SELECT * FROM events ORDER BY region DESC, 3",
+    "SELECT kind, count(*) AS n FROM events GROUP BY kind ORDER BY n DESC, kind",
+    "SELECT region, sum(value) FROM events GROUP BY region ORDER BY sum(value)",
+    "SELECT count(*) AS n FROM events ORDER BY 1",
 ]
 
 
@@ -129,6 +135,74 @@ class TestFoldCorrectness:
         assert after["ivm_folds"] == before["ivm_folds"]
 
 
+class TestSortedFolds:
+    """ORDER BY over either shape: state in table order, every emit sorted."""
+
+    def test_ties_keep_first_seen_order_across_appends(self):
+        catalog = make_catalog()
+        sql = "SELECT kind, region, value FROM events ORDER BY kind"
+        catalog.execute(sql)
+        catalog.append_rows("events", [["click", "north", 1], ["view", "south", 3]])
+        folded = catalog.execute(sql)
+        assert folded.rows == [
+            ("click", "west", 5),
+            ("click", "north", 1),
+            ("view", "east", 10),
+            ("view", "east", 7),
+            ("view", "west", 2),
+            ("view", "south", 3),
+        ]
+        assert folded.rows == catalog.execute(sql, COLD).rows
+        assert catalog.cache_stats()["ivm_folds"] == 1
+
+    @pytest.mark.parametrize(
+        "order",
+        ["value NULLS FIRST", "value NULLS LAST", "value DESC", "value DESC NULLS LAST"],
+    )
+    def test_null_placement_matches_recompute(self, order):
+        catalog = make_catalog()
+        sql = f"SELECT kind, value FROM events ORDER BY {order}"
+        catalog.execute(sql)
+        catalog.append_rows("events", [["tap", "east", None], ["tap", "west", 6]])
+        assert_fold_matches_cold(catalog, sql)
+        catalog.append_rows("events", [["tap", "north", None]])
+        assert_fold_matches_cold(catalog, sql)
+        assert catalog.cache_stats()["ivm_folds"] == 2
+
+    def test_sorted_aggregate_reorders_when_a_delta_moves_a_group(self):
+        catalog = make_catalog()
+        sql = "SELECT region, sum(value) AS total FROM events GROUP BY region ORDER BY total DESC"
+        assert [row[0] for row in catalog.execute(sql).rows] == ["east", "west"]
+        catalog.append_rows("events", [["view", "west", 20], ["click", "south", 1]])
+        folded = catalog.execute(sql)
+        assert [row[0] for row in folded.rows] == ["west", "east", "south"]
+        assert_fold_matches_cold(catalog, sql)
+        assert catalog.cache_stats()["ivm_folds"] == 1
+
+    def test_intermediate_versions_are_emitted_sorted(self):
+        catalog = make_catalog()
+        sql = "SELECT kind, value FROM events ORDER BY value"
+        catalog.execute(sql)
+        catalog.append_rows("events", [["view", "east", 1]])
+        pinned_mid = catalog.snapshot()
+        catalog.append_rows("events", [["click", "west", 0]])
+        assert_fold_matches_cold(catalog, sql)  # one walk over both appends
+        before = catalog.cache_stats()
+        mid = pinned_mid.execute(sql)
+        assert catalog.cache_stats()["hits"] == before["hits"] + 1
+        assert mid.rows == pinned_mid.execute(sql, COLD).rows
+        assert mid.rows[0] == ("view", 1)
+
+    def test_evicted_entry_is_rebuilt_sorted_at_the_folders_version(self):
+        catalog = make_catalog(query_cache_capacity=2)
+        sql = "SELECT kind, value FROM events ORDER BY value DESC"
+        catalog.execute(sql)
+        catalog.execute("SELECT DISTINCT value FROM events WHERE value > 100")
+        catalog.execute("SELECT region FROM events ORDER BY region LIMIT 3")
+        assert_fold_matches_cold(catalog, sql)  # entry evicted; folder rebuilds it
+        assert catalog.cache_stats()["ivm_folds"] == 1
+
+
 class TestFallbacks:
     def test_version_log_truncation_falls_back_to_recompute(self):
         catalog = make_catalog()
@@ -188,8 +262,8 @@ class TestFolderLifecycle:
         catalog = make_catalog(query_cache_capacity=2)
         sql = "SELECT kind, count(*) AS n FROM events GROUP BY kind"
         catalog.execute(sql)
-        catalog.execute("SELECT value FROM events WHERE value > 100 ORDER BY value")
-        catalog.execute("SELECT region FROM events ORDER BY region")
+        catalog.execute("SELECT DISTINCT value FROM events WHERE value > 100")
+        catalog.execute("SELECT region FROM events ORDER BY region LIMIT 3")
         assert_fold_matches_cold(catalog, sql)  # entry evicted; folder alive
         catalog.append_rows("events", [["view", "east", 4]])
         assert_fold_matches_cold(catalog, sql)
@@ -274,7 +348,13 @@ class TestShapeAnalysis:
     @pytest.mark.parametrize(
         "sql",
         [
-            "SELECT kind FROM events ORDER BY kind",
+            "SELECT kind FROM events ORDER BY value",
+            "SELECT kind FROM events ORDER BY 2",
+            "SELECT kind, value FROM events ORDER BY value + 1",
+            "SELECT kind, count(*) AS n FROM events GROUP BY kind ORDER BY sum(value)",
+            "SELECT kind FROM events ORDER BY kind LIMIT 2",
+            "SELECT kind FROM events ORDER BY kind LIMIT 2 OFFSET 1",
+            "SELECT DISTINCT kind FROM events ORDER BY kind",
             "SELECT DISTINCT kind FROM events",
             "SELECT kind FROM events LIMIT 2",
             "SELECT kind, count(*) AS n FROM events GROUP BY kind HAVING count(*) > 1",
@@ -295,6 +375,9 @@ class TestShapeAnalysis:
             "SELECT kind, value FROM events WHERE value > 3",
             "SELECT * FROM events",
             "SELECT sum(value) AS total FROM events WHERE kind = 'view'",
+            "SELECT kind, value AS v FROM events ORDER BY v DESC, 1",
+            "SELECT e.kind, count(*) AS n FROM events e GROUP BY e.kind ORDER BY e.kind",
+            "SELECT * FROM events ORDER BY region, 3 DESC",
         ],
     )
     def test_maintainable_shapes_are_detected(self, sql):
@@ -310,7 +393,13 @@ class TestShapeAnalysis:
         )
         assert "ivm: maintainable (aggregate over events)" in report
         report = catalog.explain("SELECT kind FROM events ORDER BY kind", physical=True)
-        assert "ivm: not maintainable" in report
+        assert "ivm: maintainable (splice over events, sorted)" in report
+        report = catalog.explain("SELECT kind FROM events ORDER BY kind LIMIT 2", physical=True)
+        assert "ivm: not maintainable (LimitNode above the projection)" in report
+        report = catalog.explain("SELECT DISTINCT kind FROM events", physical=True)
+        assert "ivm: not maintainable (DistinctNode above the projection)" in report
+        report = catalog.explain("SELECT kind FROM events ORDER BY value", physical=True)
+        assert "ivm: not maintainable (ORDER BY value is not an output column)" in report
 
     def test_explain_keeps_the_no_rewrites_marker(self):
         catalog = make_catalog()

@@ -8,6 +8,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.options import ExecOptions
 from repro.engine.query_cache import QueryCache, cache_key
 from repro.engine.table import QueryResult
+from repro.errors import ExecutionError
 from repro.sql.parser import parse
 from repro.sql.schema import ResultSchema
 
@@ -73,6 +74,35 @@ class TestCacheKey:
         assert correlated.rows == [(1,)]
         assert inner_scope.rows == [(1,), (2,)]
         assert cat.cache_stats()["entries"] == 2
+
+
+class TestCacheIdentityMemo:
+    """``cache_identity`` canonicalizes each parsed query once, on the node."""
+
+    def test_second_execute_of_one_text_skips_canonicalization(self, catalog, monkeypatch):
+        from repro.engine import query_cache
+
+        calls = []
+        canonical_text = query_cache.canonical_text
+        monkeypatch.setattr(
+            query_cache, "canonical_text", lambda node: calls.append(node) or canonical_text(node)
+        )
+        sql = "SELECT region, sum(amount) AS total FROM sales GROUP BY region"
+        first = catalog.execute(sql)
+        assert len(calls) == 1
+        catalog.table("sales").append(["north", "date", 10])  # a new version: a miss
+        second = catalog.execute(sql)
+        assert catalog.execute(sql).rows == second.rows  # and a hit
+        assert len(calls) == 1
+        assert ("north", 10) in second.rows and ("north", 10) not in first.rows
+
+    def test_parameterized_read_counts_one_bypass_per_read(self, catalog):
+        sql = "SELECT region FROM sales WHERE amount > :threshold"
+        for read in range(1, 4):
+            with pytest.raises(ExecutionError, match="threshold"):
+                catalog.execute(sql)
+            assert catalog.cache_stats()["bypassed"] == read
+        assert catalog.cache_stats()["misses"] == 0
 
 
 class TestCatalogCacheBehavior:

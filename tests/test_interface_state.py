@@ -66,9 +66,11 @@ class TestSdssPanZoom:
 
     def test_history_records_events(self, sdss_state):
         interaction = sdss_state.interface.interactions[0]
-        sdss_state.apply_pan_zoom(interaction.interaction_id, (120.0, 130.0), (0.0, 10.0))
-        assert len(sdss_state.history) == 1
-        assert sdss_state.history[0].sql_after
+        record = sdss_state.apply_pan_zoom(interaction.interaction_id, (120.0, 130.0), (0.0, 10.0))
+        assert record.component_id == interaction.interaction_id
+        assert record.payload == ((120.0, 130.0), (0.0, 10.0))
+        assert record.sql_after
+        assert set(record.sql_after) == set(record.affected_trees)
 
 
 class TestCovidBrush:

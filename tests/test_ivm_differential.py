@@ -8,9 +8,11 @@ Every query runs twice at the same catalog version:
 * through the default warm path (cache + delta folders — ``engine/ivm.py``),
 * through ``ExecOptions(use_cache=False)`` (cold recompute, the oracle),
 
-and the two results must be bag-equal (floats rounded).  The pool repeats
-queries across versions on purpose: that is what drives probes through the
-fold path instead of cold stores.
+and the two results must be equal as lists, row order included (floats
+rounded): folds feed rows in table order and sort them with the cold plan's
+own operator, so even ORDER BY ties keep the recompute's order.  The pool
+repeats queries across versions on purpose: that is what drives probes
+through the fold path instead of cold stores.
 
 Seed policy mirrors ``test_differential_sqlite.py``: the interleaving is
 seeded from ``IVM_DIFFERENTIAL_SEED`` (default 20260807) and runs
@@ -106,6 +108,24 @@ def build_query_pool(rng: random.Random) -> list[str]:
         items = rng.choice(["*", "g, v", "g, h, v, w", "v, w"])
         where = f" WHERE {_predicate(rng)}" if rng.random() < 0.7 else ""
         pool.append(f"SELECT {items} FROM {TABLE}{where}")
+    # Sorted shapes (maintainable): keys are output columns by name, alias
+    # or position, ASC/DESC with either NULL placement; the group keys and
+    # the nullable v and w make ties and NULLs common.
+    for _ in range(4):  # sorted splices
+        where = f" WHERE {_predicate(rng)}" if rng.random() < 0.5 else ""
+        order = rng.choice(
+            ["g", "g DESC, v", "v NULLS FIRST", "2 DESC", "w DESC NULLS LAST, g", "h, 1"]
+        )
+        pool.append(f"SELECT g, v, w, h FROM {TABLE}{where} ORDER BY {order}")
+    for _ in range(4):  # sorted aggregates
+        agg = rng.choice(["count(*)", "count(v)", "sum(v)", "min(w)", "max(v)"])
+        keys = rng.choice(["g", "h", "g, h"])
+        where = f" WHERE {_predicate(rng)}" if rng.random() < 0.4 else ""
+        order = rng.choice(["m DESC", "m NULLS FIRST", "1", f"{keys.split(', ')[-1]} DESC, m"])
+        pool.append(
+            f"SELECT {keys}, {agg} AS m FROM {TABLE}{where} GROUP BY {keys} ORDER BY {order}"
+        )
+    pool.append(f"SELECT count(*) AS n, sum(v) AS s FROM {TABLE} ORDER BY n")
     # Non-maintainable shapes: the warm path must stay correct through plain
     # version-keyed invalidation while folders churn around them.
     pool.append(f"SELECT g, v FROM {TABLE} WHERE v IS NOT NULL ORDER BY v, g LIMIT 7")
@@ -138,7 +158,7 @@ def build_scenario(rng: random.Random, steps: int) -> list[Op]:
 
 
 def normalize_rows(rows: list[tuple[Any, ...]]) -> list[tuple[Any, ...]]:
-    """Order-insensitive, float-tolerant canonical form of a result."""
+    """Float-tolerant form of a result, in its row order."""
 
     def norm(value: Any) -> Any:
         if isinstance(value, bool) or value is None:
@@ -147,7 +167,7 @@ def normalize_rows(rows: list[tuple[Any, ...]]) -> list[tuple[Any, ...]]:
             return round(float(value), 6)
         return value
 
-    return sorted((tuple(norm(v) for v in row) for row in rows), key=repr)
+    return [tuple(norm(v) for v in row) for row in rows]
 
 
 def fresh_catalog(rng_seed: int) -> Catalog:
@@ -285,10 +305,17 @@ def test_interleaved_folds_match_recompute():
         )
 
 
-def test_harness_actually_exercises_the_fold_path():
+@pytest.mark.parametrize(
+    "sql",
+    [
+        f"SELECT g, count(*) AS n FROM {TABLE} GROUP BY g",
+        f"SELECT g, count(*) AS n FROM {TABLE} GROUP BY g ORDER BY n DESC",
+        f"SELECT g, v FROM {TABLE} WHERE v > 10 ORDER BY g, 2 DESC",
+    ],
+)
+def test_harness_actually_exercises_the_fold_path(sql):
     """Sanity: the scenario distribution drives real folds, not just misses."""
     catalog = fresh_catalog(SEED)
-    sql = f"SELECT g, count(*) AS n FROM {TABLE} GROUP BY g"
     rng = random.Random(SEED ^ 0xF01D)
     catalog.execute(sql)
     for _ in range(5):

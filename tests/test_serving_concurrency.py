@@ -230,7 +230,7 @@ class TestServingDeterminism:
         serial = generate_interface(queries, serial_catalog, self.CONFIG)
 
         with InterfaceService(
-            load_covid_catalog(), ServiceConfig(max_workers=4, profile_workers=2)
+            load_covid_catalog(), ServiceConfig(max_workers=4)
         ) as service:
             session = service.create_session("determinism")
             served = service.generate(session.session_id, queries, self.CONFIG)
@@ -245,7 +245,7 @@ class TestServingDeterminism:
 
         with InterfaceService(
             load_covid_catalog(),
-            ServiceConfig(max_workers=8, profile_workers=2, max_sessions=8, max_pending=64),
+            ServiceConfig(max_workers=8, max_sessions=8, max_pending=64),
         ) as service:
             sessions = [service.create_session(f"user-{i}") for i in range(8)]
             futures = [
@@ -345,7 +345,7 @@ class TestAdmissionControl:
         catalog = load_covid_catalog()
         with InterfaceService(
             catalog,
-            ServiceConfig(max_workers=4, profile_workers=2, max_sessions=12, max_pending=16),
+            ServiceConfig(max_workers=4, max_sessions=12, max_pending=16),
         ) as service:
             generator = LoadGenerator(
                 service,

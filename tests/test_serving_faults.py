@@ -443,7 +443,6 @@ class TestChaosStorm:
         )
         config = ServiceConfig(
             max_workers=8,
-            profile_workers=0,
             max_sessions=2 * clients,
             max_pending=256,
             execution_tier="process",

@@ -39,6 +39,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ from repro.datasets import covid_query_log, generate_state_regions, load_covid_c
 from repro.engine.catalog import Catalog
 from repro.engine.options import ExecOptions
 from repro.engine.table import Table
-from repro.errors import WorkerError
+from repro.errors import ExecutionError, WorkerError
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.serving import (
     AsyncInterfaceService,
@@ -213,7 +214,6 @@ class TestProcessDeterminism:
 
         config = ServiceConfig(
             max_workers=8,
-            profile_workers=2,
             max_sessions=16,
             max_pending=64,
             execution_tier="process",
@@ -419,7 +419,6 @@ class TestAsyncFrontend:
             [load_covid_catalog() for _ in range(4)],
             ServiceConfig(
                 max_workers=8,
-                profile_workers=2,
                 max_sessions=128,
                 max_pending=1024,
                 execution_tier="process",
@@ -451,7 +450,7 @@ class TestAsyncFrontend:
 
 
 def single_worker_config(tier: str) -> ServiceConfig:
-    return ServiceConfig(max_workers=2, profile_workers=0, execution_tier=tier, worker_processes=1)
+    return ServiceConfig(max_workers=2, execution_tier=tier, worker_processes=1)
 
 
 class TestTierParity:
@@ -503,6 +502,32 @@ class TestTierParity:
             {"hits": 0, "misses": 0, "bypassed": 1},
             {"hits": 0, "misses": 0, "bypassed": 0},
         ]
+
+    @pytest.mark.parametrize("tier", ["thread", "process"])
+    def test_a_bad_query_raises_its_engine_error(self, tier):
+        with InterfaceService(load_covid_catalog(), single_worker_config(tier)) as service:
+            session = service.create_session("errors")
+            with pytest.raises(ExecutionError, match="Unknown column 'nosuch'") as raised:
+                service.execute(session.session_id, "SELECT nosuch FROM covid_cases")
+        assert type(raised.value) is ExecutionError
+        assert not isinstance(raised.value, WorkerError)
+
+    def test_a_half_open_probe_carrying_a_bad_query_closes_the_breaker(self):
+        config = dataclasses.replace(
+            single_worker_config("process"),
+            breaker_failure_threshold=1,
+            breaker_cooldown_seconds=0.2,
+        )
+        with InterfaceService(load_covid_catalog(), config) as service:
+            breaker = service.process_tier.breaker
+            session = service.create_session("probe")
+            assert breaker.record_failure() is True
+            time.sleep(0.25)
+            with pytest.raises(ExecutionError):
+                service.execute(session.session_id, "SELECT nosuch FROM covid_cases")
+            assert breaker.state() == "closed"
+            assert breaker.trips == 1
+            assert service.stats_snapshot()["degraded"] == 0
 
     def test_read_after_refresh_is_folded_in_the_frontend(self):
         query = "SELECT count(*) AS n FROM covid_cases"

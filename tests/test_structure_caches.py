@@ -1,8 +1,8 @@
 """Catalog-lifetime structure caches: exact keys, warm equals cold, bounds, concurrency.
 
 Generation keeps every per-structure fact that never mentions a choice id —
-coverage verdicts, tree profiles, chart templates, default-query row counts,
-filter-attribute sets — in the catalog's ``structure_caches``, so consecutive
+coverage verdicts, tree profiles, chart templates, filter-attribute sets —
+in the catalog's ``structure_caches``, so consecutive
 generations on one catalog pay for each tree structure once.  That is only
 sound when the keys are exact, so this suite checks:
 
@@ -15,10 +15,8 @@ sound when the keys are exact, so this suite checks:
   that first ran every shorter prefix, the reversed log and the int/float
   twin log generates exactly what a fresh catalog generates, directly, on a
   pinned snapshot and on the process tier's worker path; and every
-  evaluation along random action walks on a warm catalog — cost, interface
-  and row counts — equals a from-scratch evaluation on a fresh catalog;
-* **row counts** — keyed by data version and catalog, so appends, pinned
-  snapshots and two catalogs sharing one set of caches never mix them up;
+  evaluation along random action walks on a warm catalog — cost and
+  interface — equals a from-scratch evaluation on a fresh catalog;
 * **bounds** — every cache stays within its capacity and ``clear_caches()``
   empties all of them;
 * **concurrency** — eight threads generating on one catalog under a tiny
@@ -55,7 +53,6 @@ from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_no
 from repro.difftree.signatures import (
     ExactKey,
     SharedLruDict,
-    StructureCaches,
     structural_signature,
     structure_key,
     tree_key,
@@ -71,7 +68,6 @@ from repro.difftree.tree_schema import (
     tree_profile,
 )
 from repro.engine.catalog import Catalog
-from repro.engine.table import Table
 from repro.mapping import MappingConfig
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.search.space import SearchSpace
@@ -326,7 +322,7 @@ def test_a_warm_catalog_generates_what_a_fresh_one_does(bases, cold, method):
         caches = catalog.structure_caches
         assert_bounded(caches)
         assert all(len(cache) > 0 for cache in caches.caches().values())
-        assert caches.profiles.hits > 0 and caches.charts.hits > 0 and caches.rows.hits > 0
+        assert caches.profiles.hits > 0 and caches.charts.hits > 0
         catalog.clear_caches()
         assert all(len(cache) == 0 for cache in caches.caches().values())
 
@@ -359,7 +355,7 @@ def search_space(catalog, log: list[str]) -> SearchSpace:
 
 
 def facts(evaluation) -> tuple:
-    return evaluation.cost.as_dict(), evaluation.interface.fingerprint(), evaluation.data_rows
+    return evaluation.cost.as_dict(), evaluation.interface.fingerprint()
 
 
 @pytest.fixture(scope="module")
@@ -375,11 +371,11 @@ def warmed(bases) -> dict[str, Catalog]:
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("name", sorted(LOGS))
 def test_each_evaluation_on_a_warm_catalog_matches_a_fresh_catalog(bases, warmed, name, seed):
-    """Random action walks: cost, interface and row counts at every step."""
+    """Random action walks: cost and interface at every step."""
     dataset, log = LOGS[name]
     warm = warmed[name]
     caches = warm.structure_caches
-    hits_before = {cache: getattr(caches, cache).hits for cache in ("profiles", "charts", "rows")}
+    hits_before = {cache: getattr(caches, cache).hits for cache in ("profiles", "charts")}
     space = search_space(warm, log)
     rng = random.Random(seed)
     forest = space.initial_state
@@ -393,53 +389,11 @@ def test_each_evaluation_on_a_warm_catalog_matches_a_fresh_catalog(bases, warmed
         space._cache.clear()  # evaluate afresh, through the warm structure caches
         incremental = space.evaluate(forest, changed=action.touched)
         scratch = search_space(fresh_catalog(bases[dataset]), log).evaluate(forest)
-        assert incremental.data_rows is not None and -1 not in incremental.data_rows
         assert facts(incremental) == facts(scratch), f"{name}, seed {seed}, step {steps}"
         steps += 1
     assert steps > 0
     for cache, hits in hits_before.items():
         assert getattr(caches, cache).hits > hits, cache  # the warm catalog answered
-
-
-def test_row_counts_follow_the_data_version(bases):
-    log = covid_query_log()
-    catalog = fresh_catalog(bases["covid"])
-    forest = search_space(catalog, log).initial_state
-    pinned = catalog.snapshot()
-    before = search_space(catalog, log).evaluate(forest).data_rows
-    catalog.append_rows("covid_cases", [("ZZ", "2030-01-01", 5)])  # a new state and a new date
-    after = search_space(catalog, log).evaluate(forest).data_rows
-    assert after != before
-    assert after == search_space(fresh_catalog(catalog), log).evaluate(forest).data_rows
-    # The snapshot pinned before the append shares the caches, not the version.
-    assert search_space(pinned, log).evaluate(forest).data_rows == before
-
-
-def test_row_counts_never_cross_catalogs_that_share_structure_caches(bases):
-    """Two catalogs at equal data versions with different rows, as on one worker."""
-    log = covid_query_log()
-    base = bases["covid"]
-    full = fresh_catalog(base)
-    cases = base.table("covid_cases")
-    half = Catalog()
-    half.register(
-        Table.from_columns(
-            "covid_cases", {column: cases.column(column)[: len(cases) // 2] for column in cases.column_names}
-        )
-    )
-    half.register(base.table("state_regions"))
-    assert half.data_version() == full.data_version()  # only the catalog id tells them apart
-    shared = StructureCaches(SharedLruDict)
-    forest = search_space(full, log).initial_state
-    rows = []
-    for catalog in (full, half):
-        # What a worker attaches, less its result cache (keyed by version only).
-        snapshot = pickle.loads(pickle.dumps(catalog.snapshot()))
-        snapshot.attach_caches(structure_caches=shared)
-        rows.append(search_space(snapshot, log).evaluate(forest).data_rows)
-    assert rows[0] != rows[1]
-    assert rows == [search_space(fresh_catalog(c), log).evaluate(forest).data_rows for c in (full, half)]
-    assert len(shared.rows) == 2 * forest.tree_count
 
 
 def test_concurrent_generations_on_one_catalog_match_serial_ones(bases):
