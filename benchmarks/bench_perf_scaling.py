@@ -160,8 +160,10 @@ def measure_generation_rates(logs) -> tuple[dict[str, float], float]:
     for _ in range(REPEATS):
         for name, (base, log) in logs.items():
             for method in METHODS:
-                # Earlier sweeps' catalogs sit in reference cycles; collect
-                # them now rather than inside a timed sweep.
+                # A generation builds no reference cycles, so earlier sweeps'
+                # catalogs are already freed (0 unreachable objects); the
+                # collection resets the collector's allocation counts, so no
+                # automatic pass lands inside a timed sweep.
                 gc.collect()
                 calibration = max(calibration, calibration_ops_per_sec())
                 cold, evaluations, catalog = sweep_rate(lambda: fresh_catalog(base), log, method)

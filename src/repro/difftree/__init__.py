@@ -45,9 +45,6 @@ from repro.difftree.transformations import (
     applicable_transformations,
     can_factor,
     factor_common_root,
-    flatten_nested_any,
-    inline_singleton_any,
-    normalize_difftree,
 )
 from repro.difftree.tree_schema import (
     ChoiceContext,
@@ -95,9 +92,6 @@ __all__ = [
     "applicable_transformations",
     "can_factor",
     "factor_common_root",
-    "flatten_nested_any",
-    "inline_singleton_any",
-    "normalize_difftree",
     "ChoiceContext",
     "ForestSchema",
     "TreeProfile",

@@ -21,7 +21,6 @@ from repro.difftree.diff import merge_nodes
 from repro.difftree.instantiate import covers
 from repro.difftree.nodes import collect_choice_nodes
 from repro.difftree.signatures import structure_key
-from repro.difftree.transformations import normalize_difftree
 from repro.sql.ast_nodes import Select, SqlNode
 from repro.sql.parser import parse_select
 
@@ -62,14 +61,18 @@ class DifftreeForest:
             queries=list(self.queries),
         )
 
-    def merge_trees(self, first: int, second: int) -> "DifftreeForest":
-        """A new forest with trees ``first`` and ``second`` merged into one."""
+    def merge_trees(self, first: int, second: int, merged: SqlNode | None = None) -> "DifftreeForest":
+        """A new forest with trees ``first`` and ``second`` merged into one, at ``min(first, second)``.
+
+        The merged tree is ``merged`` when given (the search's merge memo
+        passes the tree it built first), else a fresh ``merge_nodes``.
+        """
         if first == second:
             raise MergeError("Cannot merge a tree with itself")
         if not (0 <= first < self.tree_count and 0 <= second < self.tree_count):
             raise MergeError(f"Tree indices out of range: {first}, {second}")
         low, high = sorted((first, second))
-        merged_tree = normalize_difftree(merge_nodes(self.trees[low], self.trees[high]))
+        merged_tree = merged if merged is not None else merge_nodes(self.trees[low], self.trees[high])
         merged_members = sorted(self.members[low] + self.members[high])
         trees = [tree for i, tree in enumerate(self.trees) if i not in (low, high)]
         members = [m for i, m in enumerate(self.members) if i not in (low, high)]
@@ -146,7 +149,7 @@ def build_forest(
         for query in parsed[1:]:
             merged = merge_nodes(merged, query)
         return DifftreeForest(
-            trees=[normalize_difftree(merged)],
+            trees=[merged],
             members=[list(range(len(parsed)))],
             queries=parsed,
         )
@@ -175,9 +178,7 @@ def _build_clustered_forest(
                 best_cluster = cluster_index
         if best_cluster >= 0 and best_similarity >= similarity_threshold:
             clusters[best_cluster].append(index)
-            cluster_trees[best_cluster] = normalize_difftree(
-                merge_nodes(cluster_trees[best_cluster], query)
-            )
+            cluster_trees[best_cluster] = merge_nodes(cluster_trees[best_cluster], query)
         else:
             clusters.append([index])
             cluster_trees.append(query)

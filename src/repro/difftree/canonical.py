@@ -101,17 +101,20 @@ def canonical_form(node: SqlNode) -> SqlNode:
 
     Memoized on the (immutable) node object: coverage checks canonicalize the
     same target queries thousands of times during a search, and the memo makes
-    every repeat an attribute lookup.
+    every repeat an attribute lookup.  A node that is its own canonical form
+    memoizes ``True``, not itself: a self-reference would be a cycle only the
+    cyclic collector frees, and ``True`` keeps its identity through pickle
+    and ``copy.deepcopy``.
     """
     cached = getattr(node, _CANONICAL_ATTR, None)
     if cached is not None:
-        return cached
+        return node if cached is True else cached
     if isinstance(node, Select):
         result = canonicalize(node)
     else:
         result = normalize_and_chains(node)
     try:
-        object.__setattr__(node, _CANONICAL_ATTR, result)
+        object.__setattr__(node, _CANONICAL_ATTR, True if result is node else result)
     except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
         pass
     return result

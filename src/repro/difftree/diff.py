@@ -78,17 +78,27 @@ def _differing_child_count(a: SqlNode, b: SqlNode) -> int:
     return sum(1 for x, y in zip(children_a, children_b) if x != y)
 
 
-def _merge_into_any(a: SqlNode, b: SqlNode) -> AnyNode:
-    """Combine alternatives, deduplicating structurally identical ones."""
+def spliced_alternatives(nodes: Sequence[SqlNode]) -> list[SqlNode]:
+    """The alternatives of one ANY over ``nodes``.
+
+    An ANY among ``nodes`` contributes its alternatives instead of itself, and
+    structurally equal alternatives are kept once, in first-seen order.  Every
+    ANY the merge and factoring rules build takes its alternatives from here,
+    which keeps Difftrees normalized by construction: given distinct ``nodes``
+    whose ANYs are themselves normalized, the result has at least two
+    alternatives and none of them is an ANY.
+    """
     alternatives: list[SqlNode] = []
-    for node in (a, b):
-        if isinstance(node, AnyNode):
-            candidates: Sequence[SqlNode] = node.alternatives
-        else:
-            candidates = [node]
-        for candidate in candidates:
+    for node in nodes:
+        for candidate in node.alternatives if isinstance(node, AnyNode) else (node,):
             if not any(candidate == existing for existing in alternatives):
                 alternatives.append(candidate)
+    return alternatives
+
+
+def _merge_into_any(a: SqlNode, b: SqlNode) -> AnyNode:
+    """Combine alternatives, deduplicating structurally identical ones."""
+    alternatives = spliced_alternatives((a, b))
     if isinstance(a, AnyNode):
         return AnyNode(alternatives=alternatives, choice_id=a.choice_id)
     return AnyNode(alternatives=alternatives)
@@ -221,10 +231,7 @@ def merge_selects(a: Select, b: Select) -> SqlNode:
     where = merge_predicates(a.where, b.where)
     group_by = align_and_merge_lists(list(a.group_by), list(b.group_by))
     having = merge_predicates(a.having, b.having)
-    order_by = [
-        _coerce_order_item(item)
-        for item in align_and_merge_lists(list(a.order_by), list(b.order_by))
-    ]
+    order_by = align_and_merge_lists(list(a.order_by), list(b.order_by))
     ctes = align_and_merge_lists(list(a.ctes), list(b.ctes))
 
     return Select(
@@ -253,14 +260,10 @@ def _coerce_select_item(node: SqlNode) -> SqlNode:
         aliases = {alt.alias for alt in node.alternatives}  # type: ignore[union-attr]
         if len(aliases) == 1:
             inner = AnyNode(
-                alternatives=[alt.expr for alt in node.alternatives],  # type: ignore[union-attr]
+                alternatives=spliced_alternatives([alt.expr for alt in node.alternatives]),  # type: ignore[union-attr]
                 choice_id=node.choice_id,
             )
             return SelectItem(expr=inner, alias=aliases.pop())
-    return node
-
-
-def _coerce_order_item(node: SqlNode) -> SqlNode:
     return node
 
 

@@ -317,49 +317,54 @@ def narrowed_domains(tree: SqlNode, target: SqlNode) -> dict[str, list[Any]]:
     repeated: set[str] = set()
     for node in collect_choice_nodes(tree):
         (repeated if node.choice_id in seen else seen).add(node.choice_id)
-    keys = _target_keys(target)
     domains: dict[str, list[Any]] = {}
-
-    def visit(node: SqlNode, order_slot: bool, off_raises: bool) -> None:
-        if isinstance(node, AnyNode):
-            carrying: list[int] = []
-            free: list[int] = []
-            surviving: list[int] = []
-            for index, alternative in enumerate(node.alternatives):
-                alternative_keys = _choice_free_keys(alternative)
-                if alternative_keys is None:
-                    carrying.append(index)
-                    visit(alternative, order_slot, off_raises)
-                    continue
-                free.append(index)
-                dropped = order_slot and not isinstance(alternative, OrderItem)
-                if dropped or alternative_keys <= keys:
-                    surviving.append(index)
-            if node.choice_id not in repeated:
-                domains[node.choice_id] = sorted(carrying + (surviving or free[:1]))
-            return
-        if isinstance(node, OptNode):
-            child_keys = _choice_free_keys(node.child)
-            if child_keys is None:
-                visit(node.child, order_slot, off_raises)
-            elif not off_raises and node.choice_id not in repeated and not child_keys <= keys:
-                domains[node.choice_id] = [False]
-            return
-        if isinstance(node, Select):
-            nested = node is not tree
-            for item in node.select_items:
-                visit(item, False, nested)
-            for item in node.order_by:
-                visit(item, True, False)
-            for value in (node.from_clause, node.where, node.having, *node.group_by, *node.ctes):
-                if value is not None:
-                    visit(value, False, False)
-            return
-        for child in node.children():
-            visit(child, False, off_raises)
-
-    visit(tree, False, False)
+    _narrow(tree, tree, _target_keys(target), repeated, domains, False, False)
     return domains
+
+
+def _narrow(
+    node: SqlNode, tree: SqlNode, keys: frozenset, repeated: set[str], domains: dict, order_slot: bool, off_raises: bool
+) -> None:
+    """Record the narrowed domains of the choice nodes under ``node`` (see :func:`narrowed_domains`).
+
+    Not a closure: a closure that calls itself is a reference cycle.
+    """
+    if isinstance(node, AnyNode):
+        carrying: list[int] = []
+        free: list[int] = []
+        surviving: list[int] = []
+        for index, alternative in enumerate(node.alternatives):
+            alternative_keys = _choice_free_keys(alternative)
+            if alternative_keys is None:
+                carrying.append(index)
+                _narrow(alternative, tree, keys, repeated, domains, order_slot, off_raises)
+                continue
+            free.append(index)
+            dropped = order_slot and not isinstance(alternative, OrderItem)
+            if dropped or alternative_keys <= keys:
+                surviving.append(index)
+        if node.choice_id not in repeated:
+            domains[node.choice_id] = sorted(carrying + (surviving or free[:1]))
+        return
+    if isinstance(node, OptNode):
+        child_keys = _choice_free_keys(node.child)
+        if child_keys is None:
+            _narrow(node.child, tree, keys, repeated, domains, order_slot, off_raises)
+        elif not off_raises and node.choice_id not in repeated and not child_keys <= keys:
+            domains[node.choice_id] = [False]
+        return
+    if isinstance(node, Select):
+        nested = node is not tree
+        for item in node.select_items:
+            _narrow(item, tree, keys, repeated, domains, False, nested)
+        for item in node.order_by:
+            _narrow(item, tree, keys, repeated, domains, True, False)
+        for value in (node.from_clause, node.where, node.having, *node.group_by, *node.ctes):
+            if value is not None:
+                _narrow(value, tree, keys, repeated, domains, False, False)
+        return
+    for child in node.children():
+        _narrow(child, tree, keys, repeated, domains, False, off_raises)
 
 
 def find_binding_for(tree: SqlNode, target: SqlNode) -> dict[str, Any] | None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import TransformationError
+from repro.difftree.diff import spliced_alternatives
 from repro.difftree.nodes import AnyNode, ChoiceNode, collect_choice_nodes
 from repro.sql.ast_nodes import SqlNode
 from repro.sql.visitor import transform
@@ -65,11 +66,9 @@ def _factor_any(node: AnyNode) -> SqlNode:
         if all(child == column[0] for child in column):
             new_children.append(column[0])
         else:
-            unique: list[SqlNode] = []
-            for child in column:
-                if not any(child == existing for existing in unique):
-                    unique.append(child)
-            new_children.append(AnyNode(alternatives=unique))
+            # An ANY in the column contributes its alternatives, so the new
+            # ANY never nests one (see spliced_alternatives).
+            new_children.append(AnyNode(alternatives=spliced_alternatives(column)))
     return first.with_children(new_children)
 
 
@@ -80,41 +79,6 @@ def can_factor(node: AnyNode) -> bool:
     except TransformationError:
         return False
     return True
-
-
-def inline_singleton_any(tree: SqlNode) -> SqlNode:
-    """Replace ANY nodes that have a single alternative with that alternative."""
-
-    def rewrite(node: SqlNode) -> SqlNode | None:
-        if isinstance(node, AnyNode) and node.cardinality == 1:
-            return node.alternatives[0]
-        return None
-
-    return transform(tree, rewrite)
-
-
-def flatten_nested_any(tree: SqlNode) -> SqlNode:
-    """Collapse ``ANY(ANY(a, b), c)`` into ``ANY(a, b, c)``."""
-
-    def rewrite(node: SqlNode) -> SqlNode | None:
-        if not isinstance(node, AnyNode):
-            return None
-        if not any(isinstance(alt, AnyNode) for alt in node.alternatives):
-            return None
-        flattened: list[SqlNode] = []
-        for alternative in node.alternatives:
-            candidates = alternative.alternatives if isinstance(alternative, AnyNode) else [alternative]
-            for candidate in candidates:
-                if not any(candidate == existing for existing in flattened):
-                    flattened.append(candidate)
-        return AnyNode(alternatives=flattened, choice_id=node.choice_id)
-
-    return transform(tree, rewrite)
-
-
-def normalize_difftree(tree: SqlNode) -> SqlNode:
-    """Cleanup pass applied after merges/transformations."""
-    return inline_singleton_any(flatten_nested_any(tree))
 
 
 # --------------------------------------------------------------------------- #
@@ -146,9 +110,7 @@ def applicable_transformations(tree: SqlNode) -> list[Transformation]:
                 Transformation(
                     rule="factor_common_root",
                     choice_id=node.choice_id,
-                    apply=lambda t, cid=node.choice_id: normalize_difftree(
-                        factor_common_root(t, cid)
-                    ),
+                    apply=lambda t, cid=node.choice_id: factor_common_root(t, cid),
                 )
             )
     return transformations

@@ -91,9 +91,6 @@ class Interface:
     def bound_choice_ids(self) -> set[str]:
         return {binding.choice_id for _component, binding in self.all_bindings()}
 
-    def has_vis_interactions(self) -> bool:
-        return bool(self.interactions)
-
     def has_structural_widgets(self) -> bool:
         """True when some widget changes query *structure* (not just a literal).
 

@@ -48,10 +48,6 @@ class Cell:
         self.execution_count += 1
         self.last_result = result
 
-    @property
-    def has_been_executed(self) -> bool:
-        return self.execution_count > 0
-
     def snapshot(self) -> dict[str, Any]:
         """An immutable description of the cell (used by interface versions)."""
         return {

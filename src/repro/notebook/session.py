@@ -92,10 +92,6 @@ class NotebookSession:
         for cell in self.cells:
             cell.select(cell.cell_id in wanted)
 
-    def select_all(self) -> None:
-        for cell in self.cells:
-            cell.select(True)
-
     def selected_cells(self) -> list[Cell]:
         return [cell for cell in self.cells if cell.selected]
 

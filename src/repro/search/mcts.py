@@ -26,10 +26,13 @@ DEFAULT_EXPLORATION = 1.2
 
 @dataclass
 class MctsNode:
-    """One node of the MCTS tree: a forest state plus visit statistics."""
+    """One node of the MCTS tree: a forest state plus visit statistics.
+
+    A node does not point to its parent (backpropagation follows the path
+    that selection walked), so the tree has no reference cycle.
+    """
 
     forest: DifftreeForest
-    parent: "MctsNode | None" = None
     action_from_parent: Action | None = None
     children: list["MctsNode"] = field(default_factory=list)
     untried_actions: list[Action] | None = None
@@ -45,12 +48,11 @@ class MctsNode:
             return 0.0
         return self.total_reward / self.visits
 
-    def uct_score(self, exploration: float) -> float:
+    def uct_score(self, exploration: float, parent_visits: int) -> float:
         if self.visits == 0:
             return float("inf")
-        assert self.parent is not None
         exploit = self.mean_reward()
-        explore = exploration * math.sqrt(math.log(self.parent.visits) / self.visits)
+        explore = exploration * math.sqrt(math.log(parent_visits) / self.visits)
         return exploit + explore
 
 
@@ -87,10 +89,12 @@ class MctsSearcher:
         self._observe(root.forest, [])
 
         for _ in range(self.iterations):
-            node, trace = self._select(root)
-            node, trace = self._expand(node, trace)
+            path, trace = self._select(root)
+            node, trace = self._expand(path[-1], trace)
+            if node is not path[-1]:
+                path.append(node)
             reward = self._rollout(node, trace)
-            self._backpropagate(node, reward)
+            self._backpropagate(path, reward)
 
         assert self.best_forest is not None
         result = self.space.result(self.best_forest, strategy="mcts", action_trace=self.best_trace)
@@ -100,13 +104,17 @@ class MctsSearcher:
     # MCTS phases
     # ------------------------------------------------------------------ #
 
-    def _select(self, node: MctsNode) -> tuple[MctsNode, list[str]]:
+    def _select(self, node: MctsNode) -> tuple[list[MctsNode], list[str]]:
+        """The path from ``node`` down the UCT choices, and its action trace."""
+        path = [node]
         trace: list[str] = []
         while node.is_fully_expanded() and node.children:
-            node = max(node.children, key=lambda child: child.uct_score(self.exploration))
+            visits = node.visits
+            node = max(node.children, key=lambda child: child.uct_score(self.exploration, visits))
+            path.append(node)
             if node.action_from_parent is not None:
                 trace.append(node.action_from_parent.description)
-        return node, trace
+        return path, trace
 
     def _expand(self, node: MctsNode, trace: list[str]) -> tuple[MctsNode, list[str]]:
         if node.depth >= self.max_depth:
@@ -121,7 +129,6 @@ class MctsSearcher:
         child_forest = self.space.apply(node.forest, action)
         child = MctsNode(
             forest=child_forest,
-            parent=node,
             action_from_parent=action,
             depth=node.depth + 1,
         )
@@ -144,11 +151,10 @@ class MctsSearcher:
         evaluation = self.space.evaluate(forest)
         return 1.0 / (1.0 + evaluation.total_cost)
 
-    def _backpropagate(self, node: MctsNode | None, reward: float) -> None:
-        while node is not None:
+    def _backpropagate(self, path: list[MctsNode], reward: float) -> None:
+        for node in path:
             node.visits += 1
             node.total_reward += reward
-            node = node.parent
 
     # ------------------------------------------------------------------ #
     # Best-state tracking

@@ -42,8 +42,9 @@ from typing import Callable, Sequence
 from repro.cost.model import CostBreakdown, CostModel
 from repro.difftree.builder import DifftreeForest, build_forest
 from repro.difftree.canonical import queries_share_source, structural_similarity
+from repro.difftree.diff import merge_nodes
 from repro.difftree.signatures import LruDict, StructureCaches, tree_key
-from repro.difftree.transformations import applicable_transformations
+from repro.difftree.transformations import Transformation, applicable_transformations
 from repro.errors import SearchError
 from repro.interface.interface import Interface
 from repro.mapping.schema_matching import (
@@ -52,6 +53,7 @@ from repro.mapping.schema_matching import (
     map_forest_to_interface,
     schema_scope,
 )
+from repro.sql.ast_nodes import SqlNode
 from repro.sql.schema import TableSchema
 
 #: Bound on the key-indexed transformation cache (entries, LRU-evicted).
@@ -150,6 +152,11 @@ class SearchSpace:
         self.cost_model = cost_model or CostModel()
         self.initial_state = build_forest(queries, strategy=initial_strategy)
         self._cache: dict[tuple, Evaluation] = {}
+        #: The trees this generation's merges and factorings built, keyed on
+        #: their inputs (see :meth:`_merge` and :meth:`_factor`), so a
+        #: replayed action returns the very tree object it built first.
+        self._merges: dict[tuple, SqlNode] = {}
+        self._factorings: dict[tuple, SqlNode] = {}
         # The structure caches of ``catalog`` (a live catalog or a pinned
         # snapshot, which shares them), or private ones of the same bounds.
         caches = catalog.structure_caches if catalog is not None else StructureCaches()
@@ -206,7 +213,7 @@ class SearchSpace:
                     Action(
                         kind="merge",
                         description=f"merge(t{first}, t{second})",
-                        apply=lambda f, i=first, j=second: f.merge_trees(i, j),
+                        apply=lambda f, i=first, j=second: self._merge(f, i, j),
                         # The merged tree lands at min(i, j) in the result.
                         touched=(min(first, second),),
                     )
@@ -217,9 +224,7 @@ class SearchSpace:
                     Action(
                         kind="transform",
                         description=f"t{tree_index}:{transformation.describe()}",
-                        apply=lambda f, idx=tree_index, tr=transformation: f.replace_tree(
-                            idx, tr(f.trees[idx])
-                        ),
+                        apply=lambda f, idx=tree_index, tr=transformation: self._factor(f, idx, tr),
                         touched=(tree_index,),
                     )
                 )
@@ -227,6 +232,31 @@ class SearchSpace:
 
     def apply(self, forest: DifftreeForest, action: Action) -> DifftreeForest:
         return action.apply(forest)
+
+    def _merge(self, forest: DifftreeForest, first: int, second: int) -> DifftreeForest:
+        """``forest.merge_trees(first, second)``, each merged tree built once per generation.
+
+        The key holds each tree's members beside its tree key.  A log that
+        repeats a query gives two trees of one forest equal tree keys, and a
+        memo on tree keys alone would hand both of their merges one tree: two
+        trees of a later forest would then share choice ids.
+        """
+        low, high = min(first, second), max(first, second)
+        trees, members = forest.trees, forest.members
+        key = (tuple(members[low]), tree_key(trees[low]), tuple(members[high]), tree_key(trees[high]))
+        merged = self._merges.get(key)
+        if merged is None:
+            merged = self._merges[key] = merge_nodes(trees[low], trees[high])
+        return forest.merge_trees(first, second, merged=merged)
+
+    def _factor(self, forest: DifftreeForest, index: int, transformation: Transformation) -> DifftreeForest:
+        """``forest`` with one tree transformed, each result built once per generation."""
+        tree = forest.trees[index]
+        key = (tuple(forest.members[index]), tree_key(tree), transformation.rule, transformation.choice_id)
+        factored = self._factorings.get(key)
+        if factored is None:
+            factored = self._factorings[key] = transformation(tree)
+        return forest.replace_tree(index, factored)
 
     def _transformations_for(self, tree):
         """Applicable transformations of one tree, cached by tree key.

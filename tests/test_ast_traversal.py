@@ -18,12 +18,17 @@ pre-order, by identity) and ``tree_signature`` (the ``(label, child keys)``
 tuple every per-tree cache key is built from).  The signature's label is
 type-exact — ``1``, ``1.0`` and ``TRUE`` get different labels — so the
 oracle below builds that label itself, from the dataclass fields.
+
+``canonical_form`` is memoized on the node too, and a node that is its own
+canonical form must still be its own canonical form after a pickle round
+trip or a ``copy.deepcopy``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
+from copy import deepcopy
 
 import pytest
 
@@ -40,6 +45,7 @@ from repro.datasets import (
     synthetic_covid_log,
 )
 from repro.difftree.builder import build_forest
+from repro.difftree.canonical import canonical_form
 from repro.difftree.nodes import ChoiceNode, collect_choice_nodes
 from repro.difftree.signatures import tree_signature
 from repro.pipeline import PipelineConfig, generate_interface
@@ -249,3 +255,16 @@ def test_pickled_nodes_carry_no_stale_choice_or_signature_memo(roots, log):
             # By identity: the memo lists the copy's own choice nodes.
             assert same_nodes(collect_choice_nodes(node), fresh_choice_nodes(node))
             assert tree_signature(node) == fresh_signature(node)
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_copied_nodes_keep_their_canonical_form(roots, log):
+    for root in roots[log]:
+        originals = list(recursive_preorder(root))
+        forms = [canonical_form(node) for node in originals]  # memoize before copying
+        for copied in (pickle.loads(pickle.dumps(root)), deepcopy(root)):
+            for original, form, node in zip(originals, forms, recursive_preorder(copied), strict=True):
+                if form is original:
+                    assert canonical_form(node) is node, type(node).__name__
+                else:
+                    assert canonical_form(node) == form, type(node).__name__

@@ -4,7 +4,8 @@ Three families of invariants:
 
 * SQL front-end: printing then re-parsing any generated AST is the identity;
 * Difftrees: merging any two generated queries yields a tree that covers both
-  and whose default instantiation is a valid query;
+  and whose default instantiation is a valid query, and no merge or factoring
+  builds a nested or single-alternative ANY;
 * Engine: WHERE never adds rows, LIMIT bounds row counts, aggregates match a
   reference computation.
 """
@@ -15,7 +16,15 @@ import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.difftree import collect_choice_nodes, covers, default_bindings, instantiate, merge_nodes
+from repro.difftree import (
+    AnyNode,
+    applicable_transformations,
+    collect_choice_nodes,
+    covers,
+    default_bindings,
+    instantiate,
+    merge_nodes,
+)
 from repro.engine.catalog import Catalog
 from repro.sql.ast_nodes import (
     BinaryOp,
@@ -85,6 +94,30 @@ def select_queries(draw):
     )
 
 
+#: An equality filter over two columns and two values, so that edits often
+#: share an operand: merging ``a = 1``, ``a = 2`` and ``b = 2`` builds an ANY
+#: whose factoring meets an ANY in a column.
+equality_filters = st.builds(
+    lambda column, value: BinaryOp(op="=", left=ColumnRef(column), right=Literal(value)),
+    st.sampled_from(["a", "b"]),
+    st.integers(min_value=1, max_value=2),
+)
+
+
+@st.composite
+def filter_edits(draw):
+    """3-4 queries that differ only in an equality filter, as filter edits in a notebook do."""
+    return [
+        Select(
+            select_items=[SelectItem(expr=ColumnRef("p")), SelectItem(expr=FunctionCall(name="count", args=[Star()]))],
+            from_clause=TableRef("t"),
+            where=where,
+            group_by=[ColumnRef("p")],
+        )
+        for where in draw(st.lists(equality_filters, min_size=3, max_size=4))
+    ]
+
+
 def make_toy_catalog() -> Catalog:
     catalog = Catalog()
     rows = [[p, a, b] for p in range(1, 4) for a in range(0, 3) for b in range(0, 3)]
@@ -139,6 +172,23 @@ class TestDifftreeProperties:
         merged = merge_nodes(query, query)
         assert merged == query
         assert collect_choice_nodes(merged) == ()
+
+    @SETTINGS
+    @given(st.one_of(st.lists(select_queries(), min_size=2, max_size=4), filter_edits()))
+    def test_merges_and_factorings_are_normalized(self, queries):
+        """No merge or factoring builds an ANY with an ANY alternative or fewer than two."""
+        trees, built = [queries[0]], []
+        # Merge each query in, as the search does, into the running tree and
+        # into each factoring of it.
+        for query in queries[1:]:
+            merged = [merge_nodes(tree, query) for tree in trees]
+            trees = merged + [apply(tree) for tree in merged for apply in applicable_transformations(tree)]
+            built += trees
+        for tree in built:
+            for node in tree.walk():
+                if isinstance(node, AnyNode):
+                    assert node.cardinality >= 2
+                    assert not any(isinstance(alternative, AnyNode) for alternative in node.alternatives)
 
     @SETTINGS
     @given(select_queries(), select_queries())
