@@ -49,7 +49,7 @@ from repro.difftree.signatures import SharedLruDict, StructureCaches
 from repro.engine.explain import ExplainReport
 from repro.engine.ivm import AppendDelta, VersionLog
 from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
-from repro.engine.query_cache import QueryCache, cache_identity, versioned_key
+from repro.engine.query_cache import QueryCache, cache_identity
 from repro.engine.table import QueryResult, Table
 from repro.sql.ast_nodes import Select, SetOperation, SqlNode
 from repro.sql.parser import parse
@@ -726,14 +726,7 @@ class CatalogSnapshot:
         folder = self._query_cache.folder(canonical)
         if folder is None:
             return None
-
-        def store_intermediate(version: tuple, result: QueryResult) -> None:
-            # Pre-populate entries for the versions a multi-append walk skips
-            # over: sessions pinned behind the write frontier then hit these
-            # instead of recomputing (folds cannot run backward).
-            self._query_cache.store(versioned_key(canonical, version), result)
-
-        result = folder.fold_to(self, self._version_log, store_intermediate)
+        result = folder.fold_to(self, self._version_log)
         if result is None:
             self._query_cache.note_fallback()
             # A probe from *behind* the folder (a session pinned at an older

@@ -66,13 +66,6 @@ VERSION_LOG_CAPACITY = 256
 #: function of the query text).
 SHAPE_MEMO_CAPACITY = 512
 
-#: A chain walk covering at most this many records also emits the result at
-#: each *intermediate* version it passes through (so sessions still pinned
-#: there hit the cache instead of recomputing — folds cannot run backward).
-#: Longer walks skip the emissions: a folder catching up after hundreds of
-#: appends would otherwise pay O(chain x result) for versions nobody reads.
-MAX_INTERMEDIATE_EMITS = 8
-
 
 @dataclass(frozen=True)
 class AppendDelta:
@@ -223,20 +216,15 @@ class DeltaFolder:
                 or version_log.chain(version, self._version) is not None
             )
 
-    def fold_to(
-        self, snapshot, version_log: VersionLog | None, on_intermediate=None
-    ) -> QueryResult | None:
+    def fold_to(self, snapshot, version_log: VersionLog | None) -> QueryResult | None:
         """The query's result at the snapshot's version, by folding appends.
 
         Returns None when the fold cannot be performed (broken/truncated
         chain, schema drift, any evaluation surprise) — the caller recomputes
         cold and should drop this folder.  On success the returned result is
-        private to the caller (folder state never aliases it).
-
-        ``on_intermediate(version, result)``, when given, is called for each
-        intermediate version a short multi-record walk passes through (see
-        ``MAX_INTERMEDIATE_EMITS``) — the catalog uses it to pre-populate
-        cache entries for sessions still pinned behind the write frontier.
+        private to the caller (folder state never aliases it).  A walk over
+        several appends emits only at its target: the versions it passes
+        through are never materialized.
         """
         target = snapshot.data_version()
         with self._lock:
@@ -253,19 +241,13 @@ class DeltaFolder:
                     return None
                 if not self._ensure_primed(table):
                     return None
-                emit_intermediates = (
-                    on_intermediate is not None
-                    and 1 < len(records) <= MAX_INTERMEDIATE_EMITS
-                )
-                for step, record in enumerate(records):
+                for record in records:
                     if record.table == self._table_key:
                         if record.start_row != self._rows_seen:
                             return None
                         self._apply(table, record.start_row, record.end_row)
                         self._rows_seen = record.end_row
                     self._version = record.to_version
-                    if emit_intermediates and step < len(records) - 1:
-                        on_intermediate(record.to_version, self._emit(snapshot))
                 if table.row_count != self._rows_seen:
                     return None
                 return self._emit(snapshot)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Iterator
 
 from repro.errors import ExecutionError
@@ -1263,9 +1264,10 @@ class JoinExec(PhysicalNode):
     The lowering step extracts equi-key expression pairs from the ON
     condition when each side of an equality resolves entirely to one input
     (``left_keys[i] = right_keys[i]``); the remaining conjuncts stay in
-    ``residual``.  With keys present the join builds a hash table on one side
-    and probes with the other; otherwise it falls back to a vectorized
-    nested-loop (cross gather + one predicate evaluation).  Row order matches
+    ``residual``.  With keys present the join buckets the inner side and
+    probes it with the outer one (``_hash_matches``); otherwise, or when a
+    key value is unhashable, it falls back to a vectorized nested loop
+    (cross gather + one evaluation of the full condition).  Row order matches
     the interpreted engine: left-major for INNER/LEFT/FULL, right-major for
     RIGHT, with outer padding interleaved at the unmatched row's position.
     """
@@ -1296,7 +1298,7 @@ class JoinExec(PhysicalNode):
             return f"NestedLoopJoin({self.join_type}, on={to_sql(self.condition)})"
         return f"NestedLoopJoin({self.join_type})"
 
-    # -- pair generation ------------------------------------------------- #
+    # -- matching -------------------------------------------------------- #
 
     @staticmethod
     def _gather(left: Batch, right: Batch, left_idx, right_idx) -> Batch:
@@ -1347,7 +1349,58 @@ class JoinExec(PhysicalNode):
             return condition, left_keys, right_keys, None
         return self.condition, self.left_keys, self.right_keys, self.residual
 
-    def _candidate_pairs(
+    @staticmethod
+    def _hash_matches(
+        evaluator: VectorEvaluator,
+        left: Batch,
+        right: Batch,
+        left_keys: list[SqlNode],
+        right_keys: list[SqlNode],
+        right_major: bool,
+    ) -> tuple[list[int], list[int]] | None:
+        """Left and right index vectors of the row pairs with equal keys.
+
+        Keys are built the way ``HashAggregateExec._partition`` groups rows:
+        the raw value for one equi-key, ``zip`` tuples for several.  The inner
+        side is bucketed in row order, then the outer (major) side probes it
+        in row order through a bound ``dict.get``, so the pairs come out
+        major-ordered with the inner matches in their own row order.  A NULL
+        key, or a composite key with a NULL component, never matches.
+        Returns None when a key value is unhashable.
+        """
+        try:
+            left_vectors = [evaluator.eval(key, left) for key in left_keys]
+            right_vectors = [evaluator.eval(key, right) for key in right_keys]
+            if right_major:
+                outer_vectors, inner_vectors = right_vectors, left_vectors
+            else:
+                outer_vectors, inner_vectors = left_vectors, right_vectors
+            buckets: defaultdict[Any, list[int]] = defaultdict(list)
+            if len(inner_vectors) == 1:
+                for index, key in enumerate(inner_vectors[0]):
+                    buckets[key].append(index)
+                buckets.pop(None, None)
+                found = list(map(buckets.get, outer_vectors[0]))
+            else:
+                for index, key in enumerate(zip(*inner_vectors)):
+                    buckets[key].append(index)
+                for key in [key for key in buckets if any(v is None for v in key)]:
+                    del buckets[key]
+                found = list(map(buckets.get, zip(*outer_vectors)))
+        except TypeError:
+            return None
+        outer_idx: list[int] = []
+        inner_idx: list[int] = []
+        add_outer = outer_idx.append
+        add_inner = inner_idx.append
+        for index, matches in enumerate(found):
+            if matches is not None:
+                for match in matches:
+                    add_outer(index)
+                    add_inner(match)
+        return (inner_idx, outer_idx) if right_major else (outer_idx, inner_idx)
+
+    def _matches(
         self,
         ctx,
         left: Batch,
@@ -1357,69 +1410,36 @@ class JoinExec(PhysicalNode):
         right_keys: list[SqlNode],
         residual: SqlNode | None,
         right_major: bool,
-    ) -> list[tuple[int, int]]:
-        """Matching (left, right) index pairs after the full join condition."""
+    ) -> tuple[list[int], list[int]]:
+        """Left and right index vectors of the pairs that pass the join condition.
+
+        Equi-keys take the hash path and leave only ``residual`` to evaluate;
+        without keys, or on an unhashable key value, the nested loop
+        evaluates the full ``condition`` over the cross product.
+        """
         evaluator = VectorEvaluator(ctx)
-        pairs: list[tuple[int, int]] | None = None
-        predicate = residual
-
+        matched = None
         if left_keys:
-            try:
-                left_vectors = [evaluator.eval(key, left) for key in left_keys]
-                right_vectors = [evaluator.eval(key, right) for key in right_keys]
-                if right_major:
-                    # Hash the left side, probe with right rows in order.
-                    buckets: dict[tuple, list[int]] = {}
-                    for index in range(left.length):
-                        key = tuple(vector[index] for vector in left_vectors)
-                        if any(value is None for value in key):
-                            continue
-                        buckets.setdefault(key, []).append(index)
-                    pairs = []
-                    for index in range(right.length):
-                        key = tuple(vector[index] for vector in right_vectors)
-                        if any(value is None for value in key):
-                            continue
-                        for match in buckets.get(key, ()):
-                            pairs.append((match, index))
-                else:
-                    buckets = {}
-                    for index in range(right.length):
-                        key = tuple(vector[index] for vector in right_vectors)
-                        if any(value is None for value in key):
-                            continue
-                        buckets.setdefault(key, []).append(index)
-                    pairs = []
-                    for index in range(left.length):
-                        key = tuple(vector[index] for vector in left_vectors)
-                        if any(value is None for value in key):
-                            continue
-                        for match in buckets.get(key, ()):
-                            pairs.append((index, match))
-            except TypeError:
-                # Unhashable key values: fall back to the nested-loop path
-                # with the full original condition.
-                pairs = None
-                predicate = condition
-
-        if pairs is None:
+            matched = self._hash_matches(
+                evaluator, left, right, left_keys, right_keys, right_major
+            )
+        if matched is None:
             predicate = condition
             if right_major:
-                pairs = [
-                    (li, ri) for ri in range(right.length) for li in range(left.length)
-                ]
+                left_idx = list(range(left.length)) * right.length
+                right_idx = [ri for ri in range(right.length) for _ in range(left.length)]
             else:
-                pairs = [
-                    (li, ri) for li in range(left.length) for ri in range(right.length)
-                ]
-
-        if predicate is not None and pairs:
-            candidate = self._gather(
-                left, right, [pair[0] for pair in pairs], [pair[1] for pair in pairs]
-            )
-            keep = VectorEvaluator(ctx).eval_predicate(predicate, candidate)
-            pairs = [pair for pair, kept in zip(pairs, keep) if kept]
-        return pairs
+                left_idx = [li for li in range(left.length) for _ in range(right.length)]
+                right_idx = list(range(right.length)) * left.length
+        else:
+            predicate = residual
+            left_idx, right_idx = matched
+        if predicate is not None and left_idx:
+            candidate = self._gather(left, right, left_idx, right_idx)
+            keep = evaluator.eval_predicate(predicate, candidate)
+            left_idx = list(compress(left_idx, keep))
+            right_idx = list(compress(right_idx, keep))
+        return left_idx, right_idx
 
     # -- execution ------------------------------------------------------- #
 
@@ -1435,58 +1455,46 @@ class JoinExec(PhysicalNode):
             return self._gather(left, right, left_idx, right_idx)
 
         condition, left_keys, right_keys, residual = self._runtime_keys(left, right)
-        right_major = join_type == "RIGHT"
-        pairs = self._candidate_pairs(
-            ctx, left, right, condition, left_keys, right_keys, residual, right_major
+        left_idx, right_idx = self._matches(
+            ctx, left, right, condition, left_keys, right_keys, residual, join_type == "RIGHT"
         )
-
         if join_type == "INNER":
-            return self._gather(
-                left, right, [pair[0] for pair in pairs], [pair[1] for pair in pairs]
-            )
-
-        if join_type == "LEFT":
-            left_idx, right_idx = self._pad_outer(pairs, left.length)
             return self._gather(left, right, left_idx, right_idx)
-
         if join_type == "RIGHT":
-            right_idx, left_idx = self._pad_outer(
-                [(ri, li) for li, ri in pairs], right.length
-            )
+            right_idx, left_idx = self._pad_outer(right_idx, left_idx, right.length)
             return self._gather(left, right, left_idx, right_idx)
-
-        if join_type == "FULL":
-            left_idx, right_idx = self._pad_outer(pairs, left.length)
-            matched_right = {pair[1] for pair in pairs}
-            for index in range(right.length):
-                if index not in matched_right:
-                    left_idx.append(None)
-                    right_idx.append(index)
+        if join_type in ("LEFT", "FULL"):
+            left_idx, right_idx = self._pad_outer(left_idx, right_idx, left.length)
+            if join_type == "FULL":
+                matched_right = set(right_idx)
+                unmatched = [ri for ri in range(right.length) if ri not in matched_right]
+                left_idx += [None] * len(unmatched)
+                right_idx += unmatched
             return self._gather(left, right, left_idx, right_idx)
 
         raise ExecutionError(f"Unsupported join type {join_type!r}")
 
     @staticmethod
     def _pad_outer(
-        pairs: list[tuple[int, int]], outer_length: int
+        outer_idx: list[int], inner_idx: list[int], outer_length: int
     ) -> tuple[list[int | None], list[int | None]]:
-        """Expand major-ordered pairs, inserting a NULL-padded row for every
+        """Expand outer-major matches, inserting a NULL-padded row for every
         unmatched outer row at its position."""
-        outer_idx: list[int | None] = []
-        inner_idx: list[int | None] = []
+        padded_outer: list[int | None] = []
+        padded_inner: list[int | None] = []
         pointer = 0
-        total = len(pairs)
+        total = len(outer_idx)
         for outer in range(outer_length):
-            matched = False
-            while pointer < total and pairs[pointer][0] == outer:
-                outer_idx.append(outer)
-                inner_idx.append(pairs[pointer][1])
-                matched = True
+            start = pointer
+            while pointer < total and outer_idx[pointer] == outer:
                 pointer += 1
-            if not matched:
-                outer_idx.append(outer)
-                inner_idx.append(None)
-        return outer_idx, inner_idx
+            if pointer == start:
+                padded_outer.append(outer)
+                padded_inner.append(None)
+            else:
+                padded_outer += outer_idx[start:pointer]
+                padded_inner += inner_idx[start:pointer]
+        return padded_outer, padded_inner
 
 
 @dataclass

@@ -125,17 +125,7 @@ def cache_identity(
         object.__setattr__(node, "_repro_cache_canonical", canonical)
     if canonical is None:
         return None, None
-    return versioned_key(canonical, data_version), canonical
-
-
-def versioned_key(canonical: str, data_version: Hashable) -> str:
-    """The cache key for a canonical text at one data version.
-
-    Exposed so the incremental-maintenance fold path can store results for
-    the *intermediate* versions a multi-append chain walk passes through
-    (sessions pinned at those versions then hit instead of recomputing).
-    """
-    return f"{canonical}@@{data_version!r}"
+    return f"{canonical}@@{data_version!r}", canonical
 
 
 def canonical_text(node: SqlNode) -> str:

@@ -367,6 +367,13 @@ class QueryGenerator:
             return f"{table} {alias}", [(alias, table)]
         if roll < 0.6:
             join = self.choice(["JOIN", "LEFT JOIN"])
+            if self.maybe(0.3):
+                # Two equi-keys: the composite-key hash path, with NULL
+                # components and duplicate keys on both sides.
+                return (
+                    f"s s0 {join} s s1 ON s1.t_id = s0.t_id AND s1.cat = s0.cat",
+                    [("s0", "s"), ("s1", "s")],
+                )
             condition = "s0.t_id = t0.id"
             if self.maybe(0.3):
                 condition += f" AND s0.amount > {self.rng.randrange(0, 300)}"
