@@ -68,9 +68,9 @@ def tree_covered_count(
 ) -> int:
     """How many of the tree's member queries it can express.
 
-    This is the per-tree piece of the coverage computation: the forest-level
-    ratio/cost recompose from these counts, so an incremental evaluation only
-    pays for the trees an action changed.
+    Each (tree, query) verdict is memoized in ``cache`` by structure key, so
+    a forest that shares trees with one already costed pays only for the
+    trees an action changed.
     """
     tree_key = structure_key(tree) if cache is not None else None
     covered = 0
@@ -95,25 +95,10 @@ def coverage_ratio(forest: DifftreeForest, cache: CoverageCache | None = None) -
     return forest_covered_count(forest, cache) / len(forest.queries)
 
 
-def cost_from_covered(covered: int, total: int) -> float:
-    """The expressiveness penalty for ``covered`` of ``total`` queries.
-
-    The single home of the missing-query formula — the standalone
-    :func:`expressiveness_cost` and the cost model's decomposed evaluation
-    both go through it, so the two paths cannot drift.
-    """
-    if total == 0:
-        return 0.0
-    ratio = covered / total
-    missing = round((1.0 - ratio) * total)
-    return missing * MISSING_QUERY_PENALTY
-
-
 def expressiveness_cost(forest: DifftreeForest, cache: CoverageCache | None = None) -> float:
     """Penalty for input queries the interface cannot re-express."""
-    if not forest.queries:
-        return 0.0
-    return cost_from_covered(forest_covered_count(forest, cache), len(forest.queries))
+    missing = len(forest.queries) - forest_covered_count(forest, cache)
+    return missing * MISSING_QUERY_PENALTY
 
 
 def generality_score(forest: DifftreeForest) -> float:

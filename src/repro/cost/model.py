@@ -20,19 +20,12 @@ benchmarks switch individual terms off to show each one's effect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.cost.expressiveness import expressiveness_cost
 from repro.cost.layout_costs import layout_cost
-from repro.cost.widget_costs import (
-    interaction_cost,
-    total_interaction_cost,
-    total_widget_cost,
-    widget_cost,
-)
+from repro.cost.widget_costs import total_interaction_cost, total_widget_cost
 from repro.interface.interface import Interface
 from repro.interface.visualizations import Channel, ChartType
-from repro.sql.ast_nodes import Select
 
 #: Base cost per chart; keeps the model from multiplying views without benefit.
 PER_CHART_COST = 1.0
@@ -57,29 +50,6 @@ class CostWeights:
     expressiveness: float = 1.0
 
 
-@dataclass(frozen=True)
-class TreeCostComponents:
-    """The per-tree share of a forest evaluation's cost.
-
-    Every term of the cost model except the layout term and the
-    duplicate-chart penalty decomposes per tree: one chart per tree, widgets
-    and interactions bound to one tree each, expressiveness counted over the
-    tree's member queries.  The search layer caches these components by tree
-    signature and recomposes the forest-level :class:`CostBreakdown` from
-    them, so evaluating a candidate costs O(changed trees).
-    """
-
-    tree_index: int
-    visualization: float
-    interaction: float
-    queries_covered: int
-    queries_owned: int
-
-    @property
-    def queries_missing(self) -> int:
-        return self.queries_owned - self.queries_covered
-
-
 @dataclass
 class CostBreakdown:
     """The evaluated cost of one candidate interface."""
@@ -89,9 +59,6 @@ class CostBreakdown:
     layout: float
     expressiveness: float
     weights: CostWeights = field(default_factory=CostWeights)
-    #: Optional per-tree decomposition (populated by CostModel.evaluate);
-    #: excluded from equality so breakdowns compare on their terms alone.
-    per_tree: list[TreeCostComponents] | None = field(default=None, compare=False)
 
     @property
     def total(self) -> float:
@@ -118,16 +85,12 @@ class CostModel:
     def __init__(
         self,
         weights: CostWeights | None = None,
-        check_expressiveness: bool = True,
         nominal_cardinalities: dict[str, int] | None = None,
         caches=None,
     ) -> None:
         """
         Args:
             weights: term weights (ablations set individual terms to zero).
-            check_expressiveness: set False to skip the (comparatively slow)
-                coverage check — used by search variants that guarantee
-                coverage by construction.
             nominal_cardinalities: optional attribute → distinct-count map so
                 the visualization term can price noisy color encodings (built
                 from the catalog by the pipeline).
@@ -140,7 +103,6 @@ class CostModel:
         from repro.difftree.signatures import StructureCaches
 
         self.weights = weights or CostWeights()
-        self.check_expressiveness = check_expressiveness
         self.nominal_cardinalities = nominal_cardinalities or {}
         # Bounded all the same: a long search must not hold every structure
         # it ever costed.
@@ -167,35 +129,22 @@ class CostModel:
                 cost += NOISY_COLOR_COST
         return cost
 
-    def _visualization_terms(self, interface: Interface) -> tuple[float, list[tuple[int, float]]]:
-        """(total visualization cost, [(tree_index, per-chart cost), ...]).
-
-        The single home of the visualization-term loop — both the standalone
-        :meth:`visualization_cost` and the decomposed :meth:`evaluate` go
-        through it, so the two paths cannot drift.
-        """
+    def visualization_cost(self, interface: Interface) -> float:
         total = 0.0
-        per_chart: list[tuple[int, float]] = []
         seen_specs: set[tuple] = set()
         for vis in interface.visualizations:
-            chart = self.chart_cost(vis)
-            per_chart.append((vis.tree_index, chart))
-            total += chart
+            total += self.chart_cost(vis)
             # Charts with identical specs *and* identical filtered attributes
             # are redundant: the queries behind them differ only in values an
             # interaction could express, so they should have been merged into
             # one interactive chart.  An overview/detail pair (same spec, but
             # one query unfiltered) is intentionally not penalized — that is
-            # the linked-brush idiom of the COVID walkthrough.  The penalty
-            # couples trees, so it never enters the per-chart components.
+            # the linked-brush idiom of the COVID walkthrough.
             spec = self._chart_spec(interface, vis)
             if spec in seen_specs:
                 total += DUPLICATE_CHART_COST
             seen_specs.add(spec)
-        return total, per_chart
-
-    def visualization_cost(self, interface: Interface) -> float:
-        return self._visualization_terms(interface)[0]
+        return total
 
     def _chart_spec(self, interface: Interface, vis) -> tuple:
         """The identity used by the (cross-tree) duplicate-chart penalty."""
@@ -245,85 +194,24 @@ class CostModel:
         return layout_cost(interface.layout, interface.visualizations, interface.widgets)
 
     def expressiveness_cost(self, interface: Interface) -> float:
-        if not self.check_expressiveness:
-            return 0.0
         return expressiveness_cost(interface.forest, cache=self._coverage_cache)
 
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
 
-    def evaluate(self, interface: Interface, queries: Sequence[Select] | None = None) -> CostBreakdown:
+    def evaluate(self, interface: Interface) -> CostBreakdown:
         """Evaluate the full cost of a candidate interface.
 
-        ``queries`` is accepted for signature compatibility with C(I, Q); the
-        forest embedded in the interface already carries the query log, which
-        is what the expressiveness term checks against.
-
-        The breakdown is computed *decomposed*: per-tree components (chart
-        cost, widget/interaction cost, coverage counts) are evaluated tree by
-        tree — hitting the signature-keyed coverage and filter-attribute
-        caches for unchanged trees — and only the terms that genuinely couple
-        trees (the duplicate-chart penalty and the layout term) are evaluated
-        globally.  The recomposed terms are numerically identical to a
-        monolithic evaluation: all per-component sums run in the same
-        component order.
+        The forest embedded in the interface carries the query log, which is
+        what the expressiveness term checks against.  Per-tree facts (coverage
+        verdicts, filter-attribute sets) come from the structure-keyed caches,
+        so an unchanged tree costs a lookup.
         """
-        from repro.cost.expressiveness import cost_from_covered, tree_covered_count
-
-        forest = interface.forest
-        tree_count = forest.tree_count
-
-        # Per-tree pieces, in tree order.
-        chart_costs = [0.0] * tree_count
-        interaction_costs = [0.0] * tree_count
-        covered_counts = [0] * tree_count
-        owned_counts = [0] * tree_count
-
-        visualization, per_chart = self._visualization_terms(interface)
-        for tree_index, chart in per_chart:
-            if 0 <= tree_index < tree_count:
-                chart_costs[tree_index] += chart
-
-        # The authoritative term uses the canonical sum-of-sums so the value is
-        # bit-identical to interaction_cost(); the per-tree split rides along.
-        interaction = self.interaction_cost(interface)
-        for widget in interface.widgets:
-            cost = widget_cost(widget)
-            for tree_index in widget.tree_indices:
-                if 0 <= tree_index < tree_count:
-                    interaction_costs[tree_index] += cost
-        for vis_interaction in interface.interactions:
-            cost = interaction_cost(vis_interaction)
-            for tree_index in vis_interaction.tree_indices:
-                if 0 <= tree_index < tree_count:
-                    interaction_costs[tree_index] += cost
-
-        if self.check_expressiveness and forest.queries:
-            for tree_index, member_indices in enumerate(forest.members):
-                covered_counts[tree_index] = tree_covered_count(
-                    forest.trees[tree_index], forest, member_indices, cache=self._coverage_cache
-                )
-                owned_counts[tree_index] = len(member_indices)
-            expressiveness = cost_from_covered(sum(covered_counts), len(forest.queries))
-        else:
-            expressiveness = 0.0
-
-        per_tree = [
-            TreeCostComponents(
-                tree_index=index,
-                visualization=chart_costs[index],
-                interaction=interaction_costs[index],
-                queries_covered=covered_counts[index],
-                queries_owned=owned_counts[index],
-            )
-            for index in range(tree_count)
-        ]
         return CostBreakdown(
-            visualization=visualization,
-            interaction=interaction,
-            layout=self.layout_cost(interface),  # couples trees: global
-            expressiveness=expressiveness,
+            visualization=self.visualization_cost(interface),
+            interaction=self.interaction_cost(interface),
+            layout=self.layout_cost(interface),
+            expressiveness=self.expressiveness_cost(interface),
             weights=self.weights,
-            per_tree=per_tree,
         )

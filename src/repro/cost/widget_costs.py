@@ -72,9 +72,19 @@ def interaction_cost(interaction: VisInteraction) -> float:
     return max(cost, 0.1)
 
 
+# The totals fold left to right instead of calling the builtin ``sum()``:
+# from Python 3.12 ``sum()`` of floats uses compensated summation, which would
+# make an interface's cost, and so the search's tie-breaks, depend on the
+# interpreter.
 def total_widget_cost(widgets: list[Widget]) -> float:
-    return sum(widget_cost(widget) for widget in widgets)
+    total = 0.0
+    for widget in widgets:
+        total += widget_cost(widget)
+    return total
 
 
 def total_interaction_cost(interactions: list[VisInteraction]) -> float:
-    return sum(interaction_cost(interaction) for interaction in interactions)
+    total = 0.0
+    for interaction in interactions:
+        total += interaction_cost(interaction)
+    return total

@@ -43,25 +43,33 @@ def factor_common_root(tree: SqlNode, choice_id: str) -> SqlNode:
     return transform(tree, rewrite)
 
 
-def _factor_any(node: AnyNode) -> SqlNode:
+def _factor_refusal(node: AnyNode) -> str | None:
+    """Why :func:`factor_common_root` cannot factor ``node``, or None when it can."""
     alternatives = node.alternatives
     if len(alternatives) < 2:
-        raise TransformationError("Cannot factor an ANY node with fewer than two alternatives")
+        return "Cannot factor an ANY node with fewer than two alternatives"
     first = alternatives[0]
     if isinstance(first, ChoiceNode):
-        raise TransformationError("Cannot factor an ANY node whose alternatives are choices")
+        return "Cannot factor an ANY node whose alternatives are choices"
     label = first.label()
-    child_lists = [alt.children() for alt in alternatives]
-    child_count = len(child_lists[0])
+    child_count = len(first.children())
     if any(alt.label() != label for alt in alternatives):
-        raise TransformationError("ANY alternatives do not share a common root label")
-    if any(len(children) != child_count for children in child_lists):
-        raise TransformationError("ANY alternatives do not have matching child counts")
+        return "ANY alternatives do not share a common root label"
+    if any(len(alt.children()) != child_count for alt in alternatives):
+        return "ANY alternatives do not have matching child counts"
     if child_count == 0:
-        raise TransformationError("ANY alternatives have no children to factor over")
+        return "ANY alternatives have no children to factor over"
+    return None
 
+
+def _factor_any(node: AnyNode) -> SqlNode:
+    refusal = _factor_refusal(node)
+    if refusal is not None:
+        raise TransformationError(refusal)
+    alternatives = node.alternatives
+    child_lists = [alt.children() for alt in alternatives]
     new_children: list[SqlNode] = []
-    for position in range(child_count):
+    for position in range(len(child_lists[0])):
         column = [children[position] for children in child_lists]
         if all(child == column[0] for child in column):
             new_children.append(column[0])
@@ -69,16 +77,12 @@ def _factor_any(node: AnyNode) -> SqlNode:
             # An ANY in the column contributes its alternatives, so the new
             # ANY never nests one (see spliced_alternatives).
             new_children.append(AnyNode(alternatives=spliced_alternatives(column)))
-    return first.with_children(new_children)
+    return alternatives[0].with_children(new_children)
 
 
 def can_factor(node: AnyNode) -> bool:
     """True when :func:`factor_common_root` applies to this ANY node."""
-    try:
-        _factor_any(node)
-    except TransformationError:
-        return False
-    return True
+    return _factor_refusal(node) is None
 
 
 # --------------------------------------------------------------------------- #

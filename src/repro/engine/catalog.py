@@ -72,30 +72,35 @@ AST_CACHE_CAPACITY = 512
 _CATALOG_IDS = itertools.count(1)
 
 
-class DetachedParser:
-    """A standalone bounded SQL-parse memo for snapshots detached from a catalog.
+class ParseMemo:
+    """A bounded FIFO memo of parsed ASTs, keyed by SQL text.
 
-    A pickled :class:`CatalogSnapshot` cannot carry its owning catalog's bound
-    ``parse`` method across the process boundary (the catalog holds locks and
-    caches that must not travel).  Workers attach one of these instead: same
-    bounded-FIFO contract as ``Catalog.parse``, no locking (worker processes
-    are single-threaded).
+    The catalog owns one, and so does every unpickled snapshot and every
+    worker process, since a memo holds a lock and never crosses the process
+    boundary.  Callers share the returned node and must not mutate it.  The
+    store and the trim run under a leaf lock that is never held while
+    parsing.
     """
 
-    __slots__ = ("_memo", "_capacity")
+    __slots__ = ("_memo", "_lock")
 
-    def __init__(self, capacity: int = AST_CACHE_CAPACITY) -> None:
+    def __init__(self) -> None:
         self._memo: dict[str, SqlNode] = {}
-        self._capacity = capacity
+        self._lock = threading.Lock()
 
     def __call__(self, text: str) -> SqlNode:
         node = self._memo.get(text)
         if node is None:
             node = parse(text)
-            self._memo[text] = node
-            while len(self._memo) > self._capacity:
-                self._memo.pop(next(iter(self._memo)), None)
+            with self._lock:
+                self._memo[text] = node
+                while len(self._memo) > AST_CACHE_CAPACITY:
+                    self._memo.pop(next(iter(self._memo)), None)
         return node
+
+    def clear(self) -> None:
+        with self._lock:
+            self._memo.clear()
 
 
 class Catalog:
@@ -109,7 +114,7 @@ class Catalog:
         self.catalog_id = next(_CATALOG_IDS)
         self._schema_version = 0
         self._plan_cache: dict = {}
-        self._ast_cache: dict[str, SqlNode] = {}
+        self._parse_memo = ParseMemo()
         self._query_cache = QueryCache(capacity=query_cache_capacity)
         #: Per-structure facts of interface generation (see
         #: ``StructureCaches``).  Each key carries whatever the fact depends
@@ -139,18 +144,11 @@ class Catalog:
         self.fault_hook: Callable[[], None] | None = None
 
     def parse(self, text: str) -> SqlNode:
-        """Parse SQL text with a bounded FIFO memo of the resulting AST.
+        """Parse SQL text through the catalog's :class:`ParseMemo`.
 
         Callers share the returned node and must not mutate it.
         """
-        node = self._ast_cache.get(text)
-        if node is None:
-            node = parse(text)
-            with self._lock:
-                self._ast_cache[text] = node
-                while len(self._ast_cache) > AST_CACHE_CAPACITY:
-                    self._ast_cache.pop(next(iter(self._ast_cache)), None)
-        return node
+        return self._parse_memo(text)
 
     # ------------------------------------------------------------------ #
     # Table management
@@ -339,7 +337,7 @@ class Catalog:
                     version=fingerprint,
                     plan_cache=self._plan_cache,
                     query_cache=self._query_cache,
-                    parse=self.parse,
+                    parse=self._parse_memo,
                     catalog_id=self.catalog_id,
                     version_log=self._version_log,
                     structure_caches=self._structure_caches,
@@ -465,14 +463,14 @@ class Catalog:
 
     def clear_caches(self) -> None:
         """Drop all cached results, compiled plans, parsed ASTs and structure caches."""
-        # The result cache and the structure caches have their own locks and
-        # are cleared outside _lock, keeping the invariant that cache-internal
-        # locks are never acquired while a catalog lock is held.
+        # The result cache, the structure caches and the parse memo have their
+        # own locks and are cleared outside _lock, keeping the invariant that
+        # cache-internal locks are never acquired while a catalog lock is held.
         self._query_cache.clear()
         self._structure_caches.clear()
+        self._parse_memo.clear()
         with self._lock:
             self._plan_cache.clear()
-            self._ast_cache.clear()
 
     def __contains__(self, name: str) -> bool:
         return self.has_table(name)
@@ -533,8 +531,8 @@ class CatalogSnapshot:
     # fingerprint and the catalog identity token.  What never crosses:
     # the caches, the structure caches included (they hold locks, and a
     # worker's caches must key off the worker's own state), the owning
-    # catalog's bound parse memo and its fault hook.  An unpickled snapshot
-    # is self-sufficient — fresh empty caches, a detached parser, no hook —
+    # catalog's parse memo and its fault hook.  An unpickled snapshot is
+    # self-sufficient — fresh empty caches, a parse memo of its own, no hook —
     # and a worker that wants cross-fingerprint cache reuse attaches shared
     # caches afterwards via ``attach_caches``.
 
@@ -560,7 +558,7 @@ class CatalogSnapshot:
         self.catalog_id = state["catalog_id"]
         self._plan_cache = {}
         self._query_cache = QueryCache()
-        self._parse = DetachedParser()
+        self._parse = ParseMemo()
         # No version log across the process boundary: a worker's first read
         # at a version is a cold recompute, exactly matching what the fold
         # path must be equivalent to.

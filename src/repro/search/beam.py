@@ -58,7 +58,7 @@ def beam_search(
                 if signature in visited:
                     continue
                 visited.add(signature)
-                cost = space.evaluate(successor, changed=action.touched).total_cost
+                cost = space.evaluate(successor).total_cost
                 candidates.append((cost, len(candidates), successor, trace + [action.description]))
         if not candidates:
             break

@@ -40,7 +40,7 @@ def exhaustive_search(
             explored += 1
             space.stats.states_expanded += 1
             candidate_trace = trace + [action.description]
-            cost = space.evaluate(candidate, changed=action.touched).total_cost
+            cost = space.evaluate(candidate).total_cost
             if cost < best_cost:
                 best_cost = cost
                 best_forest = candidate

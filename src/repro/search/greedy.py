@@ -24,7 +24,7 @@ def greedy_search(space: SearchSpace, max_steps: int = 12) -> SearchResult:
         best_cost = current_cost
         for action in space.actions(current):
             candidate = space.apply(current, action)
-            cost = space.evaluate(candidate, changed=action.touched).total_cost
+            cost = space.evaluate(candidate).total_cost
             if cost < best_cost:
                 best_cost = cost
                 best_action = action

@@ -134,7 +134,7 @@ class MctsSearcher:
         )
         node.children.append(child)
         child_trace = trace + [action.description]
-        self._observe(child_forest, child_trace, changed=action.touched)
+        self._observe(child_forest, child_trace)
         return child, child_trace
 
     def _rollout(self, node: MctsNode, trace: list[str]) -> float:
@@ -147,7 +147,7 @@ class MctsSearcher:
             action = self.rng.choice(actions)
             forest = self.space.apply(forest, action)
             rollout_trace.append(action.description)
-            self._observe(forest, rollout_trace, changed=action.touched)
+            self._observe(forest, rollout_trace)
         evaluation = self.space.evaluate(forest)
         return 1.0 / (1.0 + evaluation.total_cost)
 
@@ -160,13 +160,8 @@ class MctsSearcher:
     # Best-state tracking
     # ------------------------------------------------------------------ #
 
-    def _observe(
-        self,
-        forest: DifftreeForest,
-        trace: list[str],
-        changed: tuple[int, ...] | None = None,
-    ) -> None:
-        evaluation = self.space.evaluate(forest, changed=changed)
+    def _observe(self, forest: DifftreeForest, trace: list[str]) -> None:
+        evaluation = self.space.evaluate(forest)
         if evaluation.total_cost < self.best_cost:
             self.best_cost = evaluation.total_cost
             self.best_forest = forest

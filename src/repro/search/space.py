@@ -17,14 +17,15 @@ number of *distinct* candidates they explore.  The memo lives for one
 generation and is not bounded: it holds at most one entry per evaluation the
 strategy's budget allows.
 
-Evaluation is **incremental**: every action touches one or two trees (its
-:attr:`Action.touched` delta) while the rest of the forest is structure-shared
-with the parent state, so all per-tree work — tree profiles, chart templates,
-widget mapping pieces and coverage checks — is cached by per-tree key
-(:mod:`repro.difftree.signatures`) and reused for unchanged trees; no
-candidate's queries are executed.  Only the genuinely tree-coupled steps
-(layout, the duplicate-chart penalty, id renumbering) run globally per
-candidate, which makes one evaluation O(changed trees) instead of O(forest).
+Evaluation is **incremental** without being told what changed: every action
+builds one tree (:attr:`Action.touched`) while the rest of the forest is
+structure-shared with the parent state, and all per-tree work — tree
+profiles, chart templates, widget mapping pieces, coverage checks and
+filter-attribute sets — is cached by per-tree key
+(:mod:`repro.difftree.signatures`), so unchanged trees cost a lookup; no
+candidate's queries are executed.  The tree-coupled steps (layout, the
+duplicate-chart penalty, id renumbering) and the per-component sums run over
+the whole candidate.
 
 The caches whose facts never mention choice ids live on the catalog
 (:class:`~repro.difftree.signatures.StructureCaches`), so a generation pays
@@ -66,10 +67,8 @@ class Action:
 
     ``touched`` is the action's *delta*: the indices (in the **result**
     forest) of the trees the action created.  Every other tree of the result
-    is shared by object identity with the source forest, which is what the
-    per-tree evaluation caches exploit.  Strategies thread the delta through
-    :meth:`SearchSpace.evaluate` so the incremental-reuse accounting in
-    :class:`SearchStats` reflects what each strategy actually re-evaluated.
+    is shared by object identity with the source forest, which is why the
+    per-tree evaluation caches hit.
     """
 
     kind: str  # "merge" | "transform"
@@ -278,21 +277,12 @@ class SearchSpace:
     # Evaluation
     # ------------------------------------------------------------------ #
 
-    def evaluate(
-        self,
-        forest: DifftreeForest,
-        changed: tuple[int, ...] | None = None,
-    ) -> Evaluation:
+    def evaluate(self, forest: DifftreeForest) -> Evaluation:
         """Map the forest to an interface and cost it (memoized).
 
-        ``changed`` is the action delta that produced this forest (see
-        :attr:`Action.touched`); trees outside the delta are structure-shared
-        with an already-evaluated neighbour, which is what makes the per-tree
-        caches hit.  The delta is the caller's contract, not a directive —
-        reuse is *observed* from the profile cache, so the
+        Reuse is *observed* from the profile cache, so the
         ``tree_evals_reused`` / ``tree_evals_computed`` counters reflect what
-        actually happened (a changed chart context, say, forces widget-piece
-        recomputation regardless of the delta).
+        actually happened.
 
         The memo ignores choice ids, so a hit may return the evaluation of a
         forest that differs from this one only in its ids: same cost, but an
@@ -315,7 +305,7 @@ class SearchSpace:
             self.mapping_config,
             caches=self.mapping_caches,
         )
-        cost = self.cost_model.evaluate(interface, forest.queries)
+        cost = self.cost_model.evaluate(interface)
         evaluation = Evaluation(interface=interface, cost=cost)
         self._cache[key] = evaluation
         self.stats.evaluations += 1

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import multiprocessing
 
 from repro.difftree.signatures import SharedLruDict, StructureCaches
-from repro.engine.catalog import CatalogSnapshot, DetachedParser
+from repro.engine.catalog import CatalogSnapshot, ParseMemo
 from repro.engine.options import DEFAULT_OPTIONS, ExecOptions
 from repro.engine.query_cache import QueryCache
 from repro import errors
@@ -161,7 +161,7 @@ class _WorkerState:
         self.capacity = capacity
         self.snapshots: OrderedDict[tuple, CatalogSnapshot] = OrderedDict()
         self.query_caches: dict[int, QueryCache] = {}
-        self.parse = DetachedParser()
+        self.parse = ParseMemo()
         self.structure_caches = StructureCaches(SharedLruDict)
         self.plan_caches: dict[tuple, dict] = {}
 

@@ -200,7 +200,7 @@ def searched_pairs():
             pairs.setdefault((signature, canonical_sql(query)), (tree, query))
         return original(tree, forest, member_indices, cache)
 
-    # CostModel.evaluate imports tree_covered_count from the module at call
+    # forest_covered_count looks tree_covered_count up in its module at call
     # time, so patching the module attribute sees every per-tree check.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expressiveness, "tree_covered_count", recording)

@@ -250,6 +250,19 @@ class TestApplicableTransformations:
         rules = {t.rule for t in applicable_transformations(forest.trees[0])}
         assert rules == {"factor_common_root"}
 
+    def test_enumeration_allocates_no_choice_id(self, fig2_queries):
+        """Asking whether factoring applies builds no factored node (Fig. 3's merged tree)."""
+        q1, q2 = parse_query_log(fig2_queries[:2])
+        tree = merge_nodes(q1, q2)
+        before = AnyNode(alternatives=[Literal(1)])
+        assert applicable_transformations(tree)
+        after = AnyNode(alternatives=[Literal(1)])
+
+        def number(node):
+            return int(node.choice_id.removeprefix("any_"))
+
+        assert number(after) == number(before) + 1
+
     def test_no_transformations_for_choice_free_tree(self):
         tree = parse_select("SELECT a FROM t")
         assert applicable_transformations(tree) == []

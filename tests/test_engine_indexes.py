@@ -376,11 +376,11 @@ class TestSnapshotTransport:
         catalog.create_table("t", ["id", "val"], [(i, i * 2) for i in range(500)])
         catalog.create_index("t", "id", HASH)
         snapshot = pickle.loads(pickle.dumps(catalog.snapshot()))
-        from repro.engine.catalog import DetachedParser
+        from repro.engine.catalog import ParseMemo
         from repro.engine.query_cache import QueryCache
 
         snapshot.attach_caches(
-            plan_cache={}, query_cache=QueryCache(capacity=8), parse=DetachedParser()
+            plan_cache={}, query_cache=QueryCache(capacity=8), parse=ParseMemo()
         )
         result = _run_task(
             "execute", snapshot, ("SELECT val FROM t WHERE id = 250", ExecOptions())

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import AST_CACHE_CAPACITY, Catalog, ParseMemo
 from repro.engine.options import ExecOptions
 from repro.engine.query_cache import QueryCache, cache_key
 from repro.engine.table import QueryResult
@@ -170,6 +173,45 @@ class TestCatalogCacheBehavior:
         stats = catalog.cache_stats()
         for key in ("hits", "misses", "hit_rate", "entries", "capacity", "plan_cache_entries"):
             assert key in stats
+
+
+class TestParseMemo:
+    def test_catalog_and_snapshots_share_one_memo(self, catalog):
+        text = "SELECT region FROM sales"
+        node = catalog.parse(text)
+        assert catalog.snapshot().parse(text) is node
+        catalog.clear_caches()
+        assert catalog.parse(text) is not node
+
+    def test_memo_stays_bounded_under_threads(self):
+        """More threads than cores, a tiny switch interval: no error, no overgrown memo."""
+        memo = ParseMemo()
+        errors: list[BaseException] = []
+        texts = [f"SELECT {index} FROM t" for index in range(AST_CACHE_CAPACITY + 200)]
+
+        def hammer(offset: int) -> None:
+            try:
+                for index in range(300):
+                    text = texts[(offset + index) % len(texts)]
+                    assert memo(text) == parse(text)
+                    if index == 150:
+                        memo.clear()
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(offset * 113,)) for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(memo._memo) <= AST_CACHE_CAPACITY
 
 
 class TestQueryCacheUnit:

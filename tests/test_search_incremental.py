@@ -110,7 +110,7 @@ def interface_dump(interface) -> tuple:
 
 
 def random_walk(space, rng, steps):
-    """Apply up to ``steps`` random actions; yield (forest, action) pairs."""
+    """Apply up to ``steps`` random actions; yield each forest reached."""
     forest = space.initial_state
     for _ in range(steps):
         actions = space.actions(forest)
@@ -118,7 +118,7 @@ def random_walk(space, rng, steps):
             return
         action = rng.choice(actions)
         forest = space.apply(forest, action)
-        yield forest, action
+        yield forest
 
 
 class TestIncrementalEqualsFull:
@@ -130,9 +130,9 @@ class TestIncrementalEqualsFull:
         warm = make_space(covid_catalog, covid_log[:4], catalog=covid_catalog)
         # Warm the caches with an unrelated evaluation history first.
         mcts_search(warm, iterations=8, seed=seed)
-        for forest, action in random_walk(warm, rng, steps=4):
+        for forest in random_walk(warm, rng, steps=4):
             warm._cache.clear()  # evaluate afresh, through the warm per-tree caches
-            incremental = warm.evaluate(forest, changed=action.touched)
+            incremental = warm.evaluate(forest)
             cold_catalog = fresh_catalog(covid_catalog)
             cold = make_space(cold_catalog, covid_log[:4], catalog=cold_catalog)
             scratch = cold.evaluate(forest)
@@ -144,31 +144,13 @@ class TestIncrementalEqualsFull:
         rng = random.Random(seed)
         warm = make_space(sdss_catalog, sdss_log)
         mcts_search(warm, iterations=10, seed=seed)
-        for forest, action in random_walk(warm, rng, steps=5):
+        for forest in random_walk(warm, rng, steps=5):
             warm._cache.clear()  # evaluate afresh, through the warm per-tree caches
-            incremental = warm.evaluate(forest, changed=action.touched)
+            incremental = warm.evaluate(forest)
             cold = make_space(sdss_catalog, sdss_log)
             scratch = cold.evaluate(forest)
             assert incremental.cost.as_dict() == scratch.cost.as_dict()
             assert interface_dump(incremental.interface) == interface_dump(scratch.interface)
-
-    def test_per_tree_components_recompose(self, covid_catalog, covid_log):
-        """The cached per-tree components sum back to the breakdown's terms."""
-        space = make_space(covid_catalog, covid_log[:4])
-        result = greedy_search(space)
-        breakdown = result.cost
-        assert breakdown.per_tree is not None
-        assert len(breakdown.per_tree) == result.forest.tree_count
-        # Interaction decomposes exactly; visualization decomposes up to the
-        # cross-tree duplicate penalty (>= the per-tree sum).
-        assert sum(c.interaction for c in breakdown.per_tree) == pytest.approx(
-            breakdown.interaction
-        )
-        assert sum(c.visualization for c in breakdown.per_tree) <= breakdown.visualization + 1e-9
-        missing = sum(c.queries_missing for c in breakdown.per_tree)
-        from repro.cost.expressiveness import MISSING_QUERY_PENALTY
-
-        assert breakdown.expressiveness == pytest.approx(missing * MISSING_QUERY_PENALTY)
 
     def test_incremental_reuse_is_counted(self, covid_catalog, covid_log):
         space = make_space(covid_catalog, covid_log)

@@ -116,11 +116,11 @@ def test_every_evaluated_forest_has_disjoint_choice_ids(monkeypatch, covid_catal
     evaluate = SearchSpace.evaluate
     evaluated = []
 
-    def checked_evaluate(self, forest, changed=None):
+    def checked_evaluate(self, forest):
         for (first, ids), (second, other) in itertools.combinations(enumerate(map(choice_ids, forest.trees)), 2):
             assert not ids & other, f"trees {first} and {second} of {forest.members} share {sorted(ids & other)}"
         evaluated.append(forest)
-        return evaluate(self, forest, changed)
+        return evaluate(self, forest)
 
     monkeypatch.setattr(SearchSpace, "evaluate", checked_evaluate)
     log = [covid_query_log()[i] for i in picks]

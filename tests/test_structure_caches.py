@@ -387,7 +387,7 @@ def test_each_evaluation_on_a_warm_catalog_matches_a_fresh_catalog(bases, warmed
         action = rng.choice(actions)
         forest = space.apply(forest, action)
         space._cache.clear()  # evaluate afresh, through the warm structure caches
-        incremental = space.evaluate(forest, changed=action.touched)
+        incremental = space.evaluate(forest)
         scratch = search_space(fresh_catalog(bases[dataset]), log).evaluate(forest)
         assert facts(incremental) == facts(scratch), f"{name}, seed {seed}, step {steps}"
         steps += 1
