@@ -9,7 +9,10 @@ prefixes of the covid V3, sdss-extended and sp500 logs, per search method,
 * **cold** — the prefixes regenerated in order on a fresh catalog (every
   catalog cache empty), the way a new notebook session starts;
 * **warm** — the same prefixes again on that catalog, the way PI2
-  regenerates after every query the analyst adds.
+  regenerates after every query the analyst adds.  A warm sweep replays the
+  cold sweep's generations, so the catalog's forest-cost memo answers every
+  evaluation: ``generate_<log>_<method>_warm_cost_hit_rate`` (the warm
+  sweeps' ``costs_reused / evaluations``) reads 1.0.
 
 Each rate divides the generations of sweeps repeated for at least
 ``MIN_TIMED_SECONDS`` by their total time (a cold sweep gets a fresh catalog
@@ -119,31 +122,35 @@ def fresh_catalog(base: Catalog) -> Catalog:
     return catalog
 
 
-def prefix_sweep(catalog, log, method) -> tuple[float, int]:
-    """(seconds, evaluations) to regenerate every prefix of ``log`` in order."""
-    evaluations = 0
+def prefix_sweep(catalog, log, method) -> tuple[float, int, int]:
+    """(seconds, evaluations, costs reused) to regenerate every prefix of ``log`` in order."""
+    evaluations = reused = 0
     started = time.perf_counter()
     for length in range(2, len(log) + 1):
         result = generate_interface(log[:length], catalog, PipelineConfig(method=method, seed=length))
         evaluations += result.stats.evaluations
-    return time.perf_counter() - started, evaluations
+        reused += result.stats.costs_reused
+    return time.perf_counter() - started, evaluations, reused
 
 
-def sweep_rate(next_catalog, log, method) -> tuple[float, int, Catalog]:
-    """(generations/s, evaluations per sweep, last catalog) of repeated sweeps.
+def sweep_rate(next_catalog, log, method) -> tuple[float, int, float, Catalog]:
+    """(generations/s, evaluations per sweep, cost hit rate, last catalog) of repeated sweeps.
 
     Sweeps repeat until they have run ``MIN_TIMED_SECONDS`` in total; each
-    runs on a catalog from ``next_catalog()``, which is not timed.
+    runs on a catalog from ``next_catalog()``, which is not timed.  The hit
+    rate is the share of the sweeps' evaluations the forest-cost memo
+    answered.
     """
-    seconds, sweeps, evaluations = 0.0, 0, set()
+    seconds, sweeps, evaluations, reused = 0.0, 0, set(), 0
     while seconds < MIN_TIMED_SECONDS:
         catalog = next_catalog()
-        elapsed, evaluated = prefix_sweep(catalog, log, method)
+        elapsed, evaluated, reused_now = prefix_sweep(catalog, log, method)
         seconds += elapsed
         sweeps += 1
         evaluations.add(evaluated)
+        reused += reused_now
     (evaluated,) = evaluations  # the caches a sweep starts with never change its search
-    return sweeps * (len(log) - 1) / seconds, evaluated, catalog
+    return sweeps * (len(log) - 1) / seconds, evaluated, reused / (sweeps * evaluated), catalog
 
 
 def measure_generation_rates(logs) -> tuple[dict[str, float], float]:
@@ -166,13 +173,15 @@ def measure_generation_rates(logs) -> tuple[dict[str, float], float]:
                 # automatic pass lands inside a timed sweep.
                 gc.collect()
                 calibration = max(calibration, calibration_ops_per_sec())
-                cold, evaluations, catalog = sweep_rate(lambda: fresh_catalog(base), log, method)
-                warm, warm_evaluations, _ = sweep_rate(lambda: catalog, log, method)
+                cold, evaluations, _, catalog = sweep_rate(lambda: fresh_catalog(base), log, method)
+                warm, warm_evaluations, hit_rate, _ = sweep_rate(lambda: catalog, log, method)
                 assert warm_evaluations == evaluations  # warm caches never change the search
                 prefix = f"generate_{name}_{method}"
                 for phase, rate in (("cold", cold), ("warm", warm)):
                     key = f"{prefix}_{phase}_per_sec"
                     metrics[key] = max(metrics.get(key, 0.0), rate)
+                key = f"{prefix}_warm_cost_hit_rate"
+                metrics[key] = min(metrics.get(key, 1.0), hit_rate)
                 metrics[f"{prefix}_evaluations"] = evaluations
     return metrics, calibration
 
@@ -186,13 +195,14 @@ def test_perf_generation_gate(covid_catalog, sdss_catalog, sp500_catalog, covid_
     metrics, calibration = measure_generation_rates(logs)
     print_table(
         "Perf P1: generations/sec over growing log prefixes (cold = fresh catalog)",
-        ["Log", "Method", "Cold gen/s", "Warm gen/s", "Evaluations"],
+        ["Log", "Method", "Cold gen/s", "Warm gen/s", "Warm cost hits", "Evaluations"],
         [
             [
                 name,
                 method,
                 f"{metrics[f'generate_{name}_{method}_cold_per_sec']:.1f}",
                 f"{metrics[f'generate_{name}_{method}_warm_per_sec']:.1f}",
+                f"{metrics[f'generate_{name}_{method}_warm_cost_hit_rate']:.3f}",
                 metrics[f"generate_{name}_{method}_evaluations"],
             ]
             for name in logs
@@ -205,8 +215,10 @@ def test_perf_generation_gate(covid_catalog, sdss_catalog, sp500_catalog, covid_
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)
         print(f"\nwrote {len(metrics)} metrics to {path}")
-    # A warm catalog answers from its structure caches: it must not be slower.
+    # A warm catalog answers from its structure caches: it must not be slower,
+    # and a replayed sweep costs no forest again.
     for name in logs:
         for method in METHODS:
             prefix = f"generate_{name}_{method}"
             assert metrics[f"{prefix}_warm_per_sec"] >= 0.8 * metrics[f"{prefix}_cold_per_sec"]
+            assert metrics[f"{prefix}_warm_cost_hit_rate"] == 1.0

@@ -50,9 +50,13 @@ class CostWeights:
     expressiveness: float = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostBreakdown:
-    """The evaluated cost of one candidate interface."""
+    """The evaluated cost of one candidate interface.
+
+    Frozen: the search shares one breakdown between generations and threads
+    (the catalog's forest-cost memo).
+    """
 
     visualization: float
     interaction: float

@@ -18,8 +18,8 @@ turn that sharing into cache hits:
   :func:`tree_key` (ids included) and :func:`structure_key` (ids erased,
   choice-id sharing pattern added).  Both are memoized on the root node.
 * a forest's identity, ``DifftreeForest.signature()``, is per tree its
-  members plus :func:`structure_key`; the search's evaluation memo and
-  visited-sets key on it.
+  members plus :func:`structure_key`; the search's evaluation ledger, the
+  catalog's forest-cost memo and the visited-sets key on it.
 * signatures compare **by value**: equal trees reached along different
   action sequences get equal keys and so share cache entries, whichever
   tuple object each rollout happened to build.  Nothing process-global holds
@@ -98,6 +98,16 @@ def _exact(value: Any) -> Any:
     if kind is tuple:
         return tuple(_exact(item) for item in value)
     return value
+
+
+def exact_key(*values: Hashable) -> ExactKey:
+    """``values`` as one :class:`ExactKey`, every scalar tagged by type.
+
+    For keys built from settings rather than trees: ``1``, ``1.0`` and
+    ``True`` stay three keys, as they do in a signature.  Give a dataclass as
+    ``dataclasses.astuple`` and a mapping as its sorted items.
+    """
+    return ExactKey(_exact(values))
 
 
 def _exact_label(node: SqlNode, erase_choice_id: bool = False) -> tuple:
@@ -316,9 +326,10 @@ class SharedLruDict(LruDict):
 
 
 #: LRU bound of each structure cache.  Coverage holds one boolean per (tree
-#: structure, member query) pair; the others hold one entry per tree
-#: structure.  512 is more structures than one search on the benchmark logs
-#: visits, so a single generation never evicts, while it bounds what a
+#: structure, member query) pair; costs hold one breakdown per forest costed
+#: under one context; the others hold one entry per tree structure.  512
+#: structures (and 1024 forests) are more than one search on the benchmark
+#: logs visits, so a single generation never evicts, while it bounds what a
 #: long-lived catalog keeps alive between generations: every entry pins its
 #: key's signature tuples after the trees themselves are gone.
 STRUCTURE_CACHE_CAPACITIES = {
@@ -326,6 +337,7 @@ STRUCTURE_CACHE_CAPACITIES = {
     "profiles": 512,
     "charts": 512,
     "filter_attributes": 512,
+    "costs": 1024,
 }
 COVERAGE_MEMO_CAPACITY = STRUCTURE_CACHE_CAPACITIES["coverage"]
 
@@ -341,7 +353,11 @@ class StructureCaches:
     * ``coverage`` — ``(structure key, canonical target SQL)`` → verdict;
     * ``profiles`` — ``(structure key, schemas)`` → (choice ids, profile);
     * ``charts`` — ``(structure key, schemas)`` → chart template;
-    * ``filter_attributes`` — structure key → attribute set.
+    * ``filter_attributes`` — structure key → attribute set;
+    * ``costs`` — ``(forest signature, cost context)`` → the forest's
+      :class:`~repro.cost.model.CostBreakdown`; the context is the canonical
+      SQL of the log, the schemas and the cost and mapping settings (see
+      ``SearchSpace``).
 
     A catalog owns one set of :class:`SharedLruDict` caches, which every
     snapshot shares; a search or cost model built without a catalog keeps a

@@ -14,6 +14,20 @@ from typing import Any, Iterable
 from repro.errors import ExecutionError
 
 
+def _int_sum(values: list[Any]) -> int | None:
+    """``sum(values)`` when every value is an ``int``, else None.
+
+    ``sum()`` is exact on ints, but on floats it is no left-to-right fold:
+    Python 3.12 adds them with compensation, so ``SUM`` and ``AVG`` would
+    round differently per interpreter (and differently from sqlite).  They
+    fold every other batch themselves.  A batch with a float sums to a float.
+    """
+    if type(values[0]) is not int:
+        return None
+    total = sum(values)
+    return total if type(total) is int else None
+
+
 class Accumulator:
     """Base class for aggregate accumulators."""
 
@@ -95,14 +109,17 @@ class SumAccumulator(Accumulator):
         filtered = [value for value in values if value is not None]
         if not filtered:
             return
-        if isinstance(filtered[0], (int, float)):
-            partial = sum(filtered)
-        else:
-            # Non-numeric '+' (e.g. string concatenation) keeps row-wise order.
-            partial = filtered[0]
-            for value in filtered[1:]:
-                partial += value
-        self._total = partial if self._total is None else self._total + partial
+        partial = _int_sum(filtered)
+        if partial is not None:
+            self._total = partial if self._total is None else self._total + partial
+            return
+        # Floats (and non-numeric '+', e.g. string concatenation) fold left to
+        # right from the running total, exactly as row-wise ``add`` does.
+        remaining = iter(filtered)
+        total = next(remaining) if self._total is None else self._total
+        for value in remaining:
+            total += value
+        self._total = total
 
     def result(self) -> Any:
         return self._total
@@ -125,7 +142,14 @@ class AvgAccumulator(Accumulator):
         filtered = [value for value in values if value is not None]
         if not filtered:
             return
-        self._total += sum(filtered)
+        partial = _int_sum(filtered)
+        if partial is not None:
+            self._total += partial
+        else:
+            total = self._total
+            for value in filtered:
+                total += value
+            self._total = total
         self._count += len(filtered)
 
     def result(self) -> float | None:

@@ -177,6 +177,10 @@ class ExecutionContext:
         """Execute a nested subquery with ``row_env`` as correlation context."""
         return self.executor.run_subquery(self, query, row_env)
 
+    def is_cached(self, result: PlanResult) -> bool:
+        """True when ``result`` is an uncorrelated subquery's, cached in this scope."""
+        return any(cached is result for cached in self.subquery_cache.values())
+
 
 # --------------------------------------------------------------------------- #
 # Logical → physical lowering

@@ -931,20 +931,39 @@ class VectorEvaluator:
     # Subqueries (executed per row through the execution context)
     # ------------------------------------------------------------------ #
 
-    def _run_subquery(self, query: Select, batch: Batch, index: int) -> Any:
-        if self._context is None:
-            raise ExecutionError("Subqueries are not allowed in this context")
-        outer = self._context.outer if self._context is not None else None
-        row_env = BatchRowView(batch, index, parent=outer)
-        return self._context.run_subquery(query, row_env)
+    def _subquery_runner(self, query: Select, batch: Batch) -> Callable[[int], Any]:
+        """``index -> result`` of ``query`` for the rows of ``batch``.
+
+        The executor caches an uncorrelated subquery's result on the context
+        (``Executor.run_subquery``); once a row's call returned a cached
+        result, the later rows reuse it without building a row view or
+        entering the executor.  A correlated subquery runs, and checks its
+        deadline, per row.
+        """
+        context = self._context
+        shared = None
+
+        def result_for(index: int) -> Any:
+            nonlocal shared
+            if shared is not None:
+                return shared
+            if context is None:
+                raise ExecutionError("Subqueries are not allowed in this context")
+            result = context.run_subquery(query, BatchRowView(batch, index, parent=context.outer))
+            if context.is_cached(result):
+                shared = result
+            return result
+
+        return result_for
 
     def _eval_in_subquery(self, node: InSubquery, batch: Batch) -> list[Any]:
         values = self.eval(node.expr, batch)
         out: list[Any] = []
-        # Uncorrelated subqueries are memoized by the executor and come back
-        # as the same PlanResult object for every outer row; keep the member
-        # extraction (and the hash set, when the members allow one) keyed to
-        # that identity instead of rebuilding them per row.
+        run = self._subquery_runner(node.query, batch)
+        # An uncorrelated subquery returns one PlanResult for every outer
+        # row; keep the member extraction (and the hash set, when the members
+        # allow one) keyed to that identity instead of rebuilding them per
+        # row.
         last_result: Any = None
         members: list[Any] = []
         member_set: set[Any] | None = None
@@ -953,7 +972,7 @@ class VectorEvaluator:
             if value is None:
                 out.append(None)
                 continue
-            result = self._run_subquery(node.query, batch, index)
+            result = run(index)
             if result is not last_result:
                 last_result = result
                 members = [row[0] for row in result.rows]
@@ -977,16 +996,18 @@ class VectorEvaluator:
 
     def _eval_exists(self, node: Exists, batch: Batch) -> list[Any]:
         out: list[Any] = []
+        run = self._subquery_runner(node.query, batch)
         for index in range(batch.length):
-            result = self._run_subquery(node.query, batch, index)
+            result = run(index)
             found = result.row_count > 0
             out.append(not found if node.negated else found)
         return out
 
     def _eval_scalar_subquery(self, node: ScalarSubquery, batch: Batch) -> list[Any]:
         out: list[Any] = []
+        run = self._subquery_runner(node.query, batch)
         for index in range(batch.length):
-            result = self._run_subquery(node.query, batch, index)
+            result = run(index)
             if result.row_count == 0:
                 out.append(None)
                 continue

@@ -43,7 +43,7 @@ from repro.mapping.attributes import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingPolicy:
     """Tunable preferences of the interaction mapper (used by ablations)."""
 

@@ -90,6 +90,7 @@ class GenerationResult:
             "trees": self.forest.tree_count,
             "candidates_evaluated": self.stats.evaluations,
             "evaluation_cache_hits": self.stats.cache_hits,
+            "costs_reused": self.stats.costs_reused,
             "tree_evals_reused": self.stats.tree_evals_reused,
             "tree_evals_computed": self.stats.tree_evals_computed,
             "elapsed_seconds": round(self.elapsed_seconds, 4),

@@ -4,7 +4,7 @@ from repro.search.beam import DEFAULT_BEAM_WIDTH, beam_search
 from repro.search.exhaustive import exhaustive_search
 from repro.search.greedy import greedy_search
 from repro.search.mcts import DEFAULT_EXPLORATION, MctsNode, MctsSearcher, mcts_search
-from repro.search.space import Action, Evaluation, SearchResult, SearchSpace, SearchStats
+from repro.search.space import Action, SearchResult, SearchSpace, SearchStats
 
 __all__ = [
     "DEFAULT_BEAM_WIDTH",
@@ -16,7 +16,6 @@ __all__ = [
     "MctsSearcher",
     "mcts_search",
     "Action",
-    "Evaluation",
     "SearchResult",
     "SearchSpace",
     "SearchStats",

@@ -41,7 +41,7 @@ def beam_search(
 
     initial = space.initial_state
     best_forest = initial
-    best_cost = space.evaluate(initial).total_cost
+    best_cost = space.evaluate(initial).total
     best_trace: list[str] = []
 
     visited = {initial.signature()}
@@ -58,7 +58,7 @@ def beam_search(
                 if signature in visited:
                     continue
                 visited.add(signature)
-                cost = space.evaluate(successor).total_cost
+                cost = space.evaluate(successor).total
                 candidates.append((cost, len(candidates), successor, trace + [action.description]))
         if not candidates:
             break

@@ -20,7 +20,7 @@ def exhaustive_search(
     """Enumerate all states up to ``max_depth`` actions and return the cheapest."""
     initial = space.initial_state
     best_forest = initial
-    best_cost = space.evaluate(initial).total_cost
+    best_cost = space.evaluate(initial).total
     best_trace: list[str] = []
 
     visited = {initial.signature()}
@@ -40,7 +40,7 @@ def exhaustive_search(
             explored += 1
             space.stats.states_expanded += 1
             candidate_trace = trace + [action.description]
-            cost = space.evaluate(candidate).total_cost
+            cost = space.evaluate(candidate).total
             if cost < best_cost:
                 best_cost = cost
                 best_forest = candidate

@@ -15,7 +15,7 @@ from repro.search.space import SearchResult, SearchSpace
 def greedy_search(space: SearchSpace, max_steps: int = 12) -> SearchResult:
     """Run greedy hill climbing from the space's initial state."""
     current = space.initial_state
-    current_cost = space.evaluate(current).total_cost
+    current_cost = space.evaluate(current).total
     trace: list[str] = []
 
     for _ in range(max_steps):
@@ -24,7 +24,7 @@ def greedy_search(space: SearchSpace, max_steps: int = 12) -> SearchResult:
         best_cost = current_cost
         for action in space.actions(current):
             candidate = space.apply(current, action)
-            cost = space.evaluate(candidate).total_cost
+            cost = space.evaluate(candidate).total
             if cost < best_cost:
                 best_cost = cost
                 best_action = action

@@ -148,8 +148,7 @@ class MctsSearcher:
             forest = self.space.apply(forest, action)
             rollout_trace.append(action.description)
             self._observe(forest, rollout_trace)
-        evaluation = self.space.evaluate(forest)
-        return 1.0 / (1.0 + evaluation.total_cost)
+        return 1.0 / (1.0 + self.space.evaluate(forest).total)
 
     def _backpropagate(self, path: list[MctsNode], reward: float) -> None:
         for node in path:
@@ -161,9 +160,9 @@ class MctsSearcher:
     # ------------------------------------------------------------------ #
 
     def _observe(self, forest: DifftreeForest, trace: list[str]) -> None:
-        evaluation = self.space.evaluate(forest)
-        if evaluation.total_cost < self.best_cost:
-            self.best_cost = evaluation.total_cost
+        cost = self.space.evaluate(forest).total
+        if cost < self.best_cost:
+            self.best_cost = cost
             self.best_forest = forest
             self.best_trace = list(trace)
 

@@ -10,12 +10,15 @@ actions available in a state are
   ANY node).
 
 Evaluating a state maps the forest to a candidate interface (the mapping step)
-and scores it with the cost model; evaluations are memoized on the forest's
+and scores it with the cost model.  Evaluations are recorded on the forest's
 exact identity (:meth:`DifftreeForest.signature`: per tree, its members and
-structure key), so the different search strategies can be compared on the
-number of *distinct* candidates they explore.  The memo lives for one
-generation and is not bounded: it holds at most one entry per evaluation the
-strategy's budget allows.
+structure key) in a per-generation ledger, so the different search strategies
+can be compared on the number of *distinct* candidates they explore.  The
+ledger is not bounded: it holds at most one cost per evaluation the strategy's
+budget allows.  A forest's cost is also kept for the catalog's lifetime
+(``StructureCaches.costs``, keyed on the signature and the search's cost
+context), so a generation that revisits a forest an earlier one costed, as a
+re-run notebook cell does, neither maps nor costs it again.
 
 Evaluation is **incremental** without being told what changed: every action
 builds one tree (:attr:`Action.touched`) while the rest of the forest is
@@ -37,14 +40,14 @@ on the space.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Sequence
 
 from repro.cost.model import CostBreakdown, CostModel
 from repro.difftree.builder import DifftreeForest, build_forest
-from repro.difftree.canonical import queries_share_source, structural_similarity
+from repro.difftree.canonical import canonical_sql, queries_share_source, structural_similarity
 from repro.difftree.diff import merge_nodes
-from repro.difftree.signatures import LruDict, StructureCaches, tree_key
+from repro.difftree.signatures import LruDict, StructureCaches, exact_key, tree_key
 from repro.difftree.transformations import Transformation, applicable_transformations
 from repro.errors import SearchError
 from repro.interface.interface import Interface
@@ -81,24 +84,17 @@ class Action:
 
 
 @dataclass
-class Evaluation:
-    """The mapped interface and its cost for one state."""
-
-    interface: Interface
-    cost: CostBreakdown
-
-    @property
-    def total_cost(self) -> float:
-        return self.cost.total
-
-
-@dataclass
 class SearchStats:
     """Bookkeeping shared by all search strategies.
 
+    ``evaluations`` counts distinct candidates and ``cache_hits`` repeat
+    requests for one.  ``costs_reused`` counts the evaluations the catalog's
+    forest-cost memo answered, without mapping or costing the forest.
+
     ``tree_evals_reused`` / ``tree_evals_computed`` account per-tree
-    incremental reuse across candidate evaluations, observed from the
-    per-tree profile cache rather than inferred from action deltas.
+    incremental reuse across the mappings that actually ran (a
+    ``costs_reused`` evaluation maps nothing), observed from the per-tree
+    profile cache rather than inferred from action deltas.
 
     ``queries_executed``, ``query_cache_hits`` and ``profile_cache_hits``
     always read 0, because a search executes no queries; they stay because
@@ -107,6 +103,7 @@ class SearchStats:
 
     evaluations: int = 0
     cache_hits: int = 0
+    costs_reused: int = 0
     states_expanded: int = 0
     elapsed_seconds: float = 0.0
     queries_executed: int = 0
@@ -150,7 +147,8 @@ class SearchSpace:
         self.mapping_config = mapping_config or MappingConfig()
         self.cost_model = cost_model or CostModel()
         self.initial_state = build_forest(queries, strategy=initial_strategy)
-        self._cache: dict[tuple, Evaluation] = {}
+        #: The ledger: one cost per distinct candidate of this generation.
+        self._cache: dict[tuple, CostBreakdown] = {}
         #: The trees this generation's merges and factorings built, keyed on
         #: their inputs (see :meth:`_merge` and :meth:`_factor`), so a
         #: replayed action returns the very tree object it built first.
@@ -165,6 +163,20 @@ class SearchSpace:
             profile_store=caches.profiles,
             visualizations=caches.charts,
             scope=schema_scope(table_schemas),
+        )
+        self._costs = caches.costs
+        #: Everything a forest's cost reads besides its trees and members: the
+        #: log coverage checks them against, the schemas and the cost and
+        #: mapping settings.  ``mapping_config.name`` is left out, because no
+        #: cost term reads it.
+        policy = self.mapping_config.policy
+        self._cost_context = exact_key(
+            tuple(map(canonical_sql, self.initial_state.queries)),
+            self.mapping_caches.scope,
+            tuple(sorted(self.cost_model.nominal_cardinalities.items())),
+            astuple(self.cost_model.weights),
+            astuple(self.mapping_config.screen),
+            None if policy is None else astuple(policy),
         )
         #: Applicable transformations per tree, keyed by tree key and
         #: LRU-bounded (the transformations close over choice ids only, so
@@ -277,42 +289,45 @@ class SearchSpace:
     # Evaluation
     # ------------------------------------------------------------------ #
 
-    def evaluate(self, forest: DifftreeForest) -> Evaluation:
-        """Map the forest to an interface and cost it (memoized).
+    def evaluate(self, forest: DifftreeForest) -> CostBreakdown:
+        """The forest's cost: map it to an interface and cost it, at most once.
 
-        Reuse is *observed* from the profile cache, so the
-        ``tree_evals_reused`` / ``tree_evals_computed`` counters reflect what
-        actually happened.
-
-        The memo ignores choice ids, so a hit may return the evaluation of a
-        forest that differs from this one only in its ids: same cost, but an
-        interface whose widgets bind the other forest's ids.
-        Strategies read only the cost; :meth:`result` maps the forest it
-        returns.
+        A forest this generation already evaluated returns the ledger's very
+        breakdown (a ``cache_hits`` count).  Otherwise the catalog's
+        forest-cost memo answers if an earlier generation costed the forest
+        under the same context (a ``costs_reused`` count), and only a memo
+        miss maps and costs the forest.  Both keys are blind to choice ids,
+        which no cost term reads.  Strategies need only the cost;
+        :meth:`result` maps the forest it returns.
         """
         key = forest.signature()
-        cached = self._cache.get(key)
-        if cached is not None:
+        cost = self._cache.get(key)
+        if cost is not None:
             self.stats.cache_hits += 1
-            return cached
+            return cost
         started = time.perf_counter()
-        profile_stats = self.mapping_caches.profiles
-        hits_before = profile_stats.hits
-        misses_before = profile_stats.misses
-        interface = map_forest_to_interface(
-            forest,
-            self.table_schemas,
-            self.mapping_config,
-            caches=self.mapping_caches,
-        )
-        cost = self.cost_model.evaluate(interface)
-        evaluation = Evaluation(interface=interface, cost=cost)
-        self._cache[key] = evaluation
+        memo_key = (key, self._cost_context)
+        cost = self._costs.get(memo_key)
+        if cost is not None:
+            self.stats.costs_reused += 1
+        else:
+            profile_stats = self.mapping_caches.profiles
+            hits_before = profile_stats.hits
+            misses_before = profile_stats.misses
+            interface = map_forest_to_interface(
+                forest,
+                self.table_schemas,
+                self.mapping_config,
+                caches=self.mapping_caches,
+            )
+            cost = self.cost_model.evaluate(interface)
+            self._costs.put(memo_key, cost)
+            self.stats.tree_evals_reused += profile_stats.hits - hits_before
+            self.stats.tree_evals_computed += profile_stats.misses - misses_before
+        self._cache[key] = cost
         self.stats.evaluations += 1
-        self.stats.tree_evals_reused += profile_stats.hits - hits_before
-        self.stats.tree_evals_computed += profile_stats.misses - misses_before
         self.stats.elapsed_seconds += time.perf_counter() - started
-        return evaluation
+        return cost
 
     def cache_info(self) -> dict:
         """Hit/size statistics of every per-tree cache (for benches/debugging)."""
@@ -325,12 +340,12 @@ class SearchSpace:
         self, forest: DifftreeForest, strategy: str, action_trace: list[str] | None = None
     ) -> SearchResult:
         """The search's answer: ``forest``, its cost and its own interface."""
-        evaluation = self.evaluate(forest)
+        cost = self.evaluate(forest)
         return SearchResult(
             interface=map_forest_to_interface(
                 forest, self.table_schemas, self.mapping_config, caches=self.mapping_caches
             ),
-            cost=evaluation.cost,
+            cost=cost,
             forest=forest,
             stats=self.stats,
             strategy=strategy,

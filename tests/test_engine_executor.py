@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import CatalogError, ExecutionError
 from repro.engine.catalog import Catalog
+from repro.engine.executor import Executor
+from repro.engine.options import ExecOptions
 from repro.sql.schema import AttributeRole
 
 
@@ -213,6 +215,34 @@ class TestSubqueries:
             "SELECT region FROM totals WHERE total >= 150 ORDER BY region"
         )
         assert result.rows == [("east",), ("west",)]
+
+
+class TestSubqueryRuns:
+    """How often the executor runs a subquery within one evaluation."""
+
+    def runs(self, monkeypatch, catalog, sql) -> int:
+        counted = [0]
+        run_subquery = Executor.run_subquery
+
+        def counting(self, *args):
+            counted[0] += 1
+            return run_subquery(self, *args)
+
+        catalog.execute(sql, ExecOptions(use_cache=False))  # plan-warm
+        monkeypatch.setattr(Executor, "run_subquery", counting)
+        catalog.execute(sql, ExecOptions(use_cache=False))
+        return counted[0]
+
+    def test_an_uncorrelated_subquery_runs_once(self, monkeypatch, covid_catalog, covid_log):
+        """An IN-subquery whose HAVING holds a scalar subquery: one run each, not one per row."""
+        assert self.runs(monkeypatch, covid_catalog, covid_log[4]) == 2
+
+    def test_a_correlated_subquery_runs_per_row(self, monkeypatch, catalog):
+        sql = (
+            "SELECT s.product FROM sales s "
+            "WHERE s.amount >= (SELECT max(s2.amount) FROM sales s2 WHERE s2.region = s.region)"
+        )
+        assert self.runs(monkeypatch, catalog, sql) == 5
 
 
 class TestOrderingLimitsSetOps:

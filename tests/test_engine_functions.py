@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import pytest
 
 from repro.errors import ExecutionError
 from repro.engine.aggregates import is_aggregate_function, make_accumulator
+from repro.engine.catalog import Catalog
 from repro.engine.functions import call_scalar_function, is_scalar_function
 
 
@@ -111,6 +114,36 @@ class TestAggregates:
     def test_distinct_wrapper(self):
         assert self.run("count", [1, 1, 2, 2, 3], distinct=True) == 3
         assert self.run("sum", [5, 5, 5], distinct=True) == 5
+
+    def test_float_sum_and_avg_fold_left_to_right(self):
+        """Ten 0.1s: what sqlite and a row-wise fold give, on every interpreter.
+
+        The builtin ``sum()`` compensates on Python 3.12 and returns 1.0.
+        """
+        tenths = [0.1] * 10
+        folded = functools.reduce(operator.add, tenths)
+        assert folded != 1.0
+        for entry in ("add", "add_many"):
+            total, mean = make_accumulator("sum"), make_accumulator("avg")
+            for acc in (total, mean):
+                if entry == "add":
+                    for value in tenths:
+                        acc.add(value)
+                else:
+                    acc.add_many(tenths[:3])
+                    acc.add_many(tenths[3:])
+            assert (total.result(), mean.result()) == (folded, folded / 10), entry
+        catalog = Catalog()
+        catalog.create_table("t", ["g", "x"], [[index % 2, 0.1] for index in range(20)])
+        scalar = catalog.execute("SELECT sum(x) AS s, avg(x) AS a FROM t WHERE g = 0").rows
+        grouped = catalog.execute("SELECT g, sum(x) AS s, avg(x) AS a FROM t GROUP BY g ORDER BY g").rows
+        assert scalar == [(folded, folded / 10)]
+        assert grouped == [(0, folded, folded / 10), (1, folded, folded / 10)]
+
+    def test_int_sums_stay_exact_ints(self):
+        acc = make_accumulator("sum")
+        acc.add_many([2**60, 1, 2**60])
+        assert acc.result() == 2**61 + 1 and type(acc.result()) is int
 
     def test_unknown_aggregate_raises(self):
         with pytest.raises(ExecutionError):

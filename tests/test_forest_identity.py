@@ -15,7 +15,8 @@ identity makes:
 * **interfaces belong to their forests** — for every strategy,
   ``SearchResult.interface`` equals a fresh mapping of
   ``SearchResult.forest``, also when the winner's memo entry came from a
-  twin and so holds an interface bound to the twin's choice ids.
+  twin (an evaluation holds only a cost, so no interface bound to the
+  twin's choice ids is left to leak).
 """
 
 from __future__ import annotations
@@ -129,9 +130,8 @@ def test_colliding_pairs_get_their_own_entries_and_costs(catalog, log, variant, 
     first, second = space.evaluate(merged), space.evaluate(other)
     assert space.stats.evaluations == evaluations + 2
     assert second is not first
-    for forest, evaluation in ((merged, first), (other, second)):
-        fresh = fresh_evaluation(forest, log)
-        assert evaluation.cost.as_dict() == fresh.cost.as_dict()
+    for forest, cost in ((merged, first), (other, second)):
+        assert cost.as_dict() == fresh_evaluation(forest, log).as_dict()
     # Asking again is a memo hit on each forest's own entry.
     assert space.evaluate(variant(merged)) is second and space.evaluate(merged) is first
 
@@ -140,7 +140,7 @@ def test_literal_variants_differ_in_cost(catalog):
     """``ANY(7, 9)`` expresses neither query, so sharing an entry would misprice it."""
     space = search_space(catalog, ANY_LOG)
     merged = space.initial_state.merge_trees(0, 1)
-    assert space.evaluate(other_literals(merged)).total_cost > space.evaluate(merged).total_cost
+    assert space.evaluate(other_literals(merged)).total > space.evaluate(merged).total
 
 
 # --------------------------------------------------------------------------- #
@@ -156,12 +156,11 @@ def test_twins_share_one_entry_equal_to_a_fresh_evaluation(catalog, log):
     for other in (replayed, twin(forest)):
         assert tree_key(other.trees[0]) != tree_key(forest.trees[0])
         assert structure_key(other.trees[0]) == structure_key(forest.trees[0])
-    evaluation = space.evaluate(forest)
+    cost = space.evaluate(forest)
     evaluations, hits = space.stats.evaluations, space.stats.cache_hits
     for other in (replayed, twin(forest)):
-        assert space.evaluate(other) is evaluation
-        fresh = fresh_evaluation(other, log)
-        assert evaluation.cost.as_dict() == fresh.cost.as_dict()
+        assert space.evaluate(other) is cost
+        assert cost.as_dict() == fresh_evaluation(other, log).as_dict()
     assert space.stats.evaluations == evaluations
     assert space.stats.cache_hits == hits + 2
 
@@ -179,16 +178,14 @@ def test_the_result_interface_maps_the_result_forest(catalog, strategy, seed_twi
     space = search_space(catalog, log)
     decoy = None
     if seed_twin:
-        # Evaluate a twin of the winner first, so the winner's memo entry —
-        # cost and interface — is the twin's.
+        # Evaluate a twin of the winner first, so the winner's memo entry is
+        # the twin's.
         decoy = twin(run(search_space(catalog, log)).forest)
         space.evaluate(decoy)
     result = run(space)
     assert result.forest.choice_count() > 0  # widgets bind choice ids
     if decoy is not None:
         assert result.forest.signature() == decoy.signature()
-        held = space.evaluate(result.forest).interface
-        assert held.forest is decoy and held != fresh_mapping(catalog, result.forest)
     assert result.interface.forest is result.forest
     assert result.interface == fresh_mapping(catalog, result.forest)
-    assert result.cost.as_dict() == fresh_evaluation(result.forest, log).cost.as_dict()
+    assert result.cost.as_dict() == fresh_evaluation(result.forest, log).as_dict()

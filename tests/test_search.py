@@ -84,7 +84,7 @@ class TestStrategies:
         assert result.forest.covers_all()
 
     def test_mcts_never_worse_than_initial(self, sdss_space):
-        initial_cost = sdss_space.evaluate(sdss_space.initial_state).total_cost
+        initial_cost = sdss_space.evaluate(sdss_space.initial_state).total
         result = mcts_search(sdss_space, iterations=40, seed=3)
         assert result.total_cost <= initial_cost
 
@@ -103,7 +103,7 @@ class TestStrategies:
         space = make_space(covid_catalog, covid_log[:3])
         result = greedy_search(space)
         assert result.strategy == "greedy"
-        assert result.total_cost <= space.evaluate(space.initial_state).total_cost
+        assert result.total_cost <= space.evaluate(space.initial_state).total
         assert isinstance(result.action_trace, list)
 
     def test_exhaustive_at_least_as_good_as_greedy(self, sdss_catalog, sdss_log):

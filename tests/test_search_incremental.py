@@ -25,6 +25,7 @@ import pytest
 from repro.cost import CostModel
 from repro.engine.catalog import Catalog
 from repro.mapping import MappingConfig
+from repro.mapping.schema_matching import map_forest_to_interface
 from repro.search import SearchSpace, beam_search, greedy_search, mcts_search
 from repro.search.space import TRANSFORMATION_CACHE_CAPACITY
 
@@ -109,6 +110,17 @@ def interface_dump(interface) -> tuple:
     )
 
 
+def map_and_cost(space, forest) -> tuple:
+    """``forest``'s interface and cost through ``space``'s per-tree caches only.
+
+    Mapping and costing directly goes past the space's ledger and its
+    forest-cost memo, which would otherwise answer a forest the warm-up
+    search already costed.
+    """
+    interface = map_forest_to_interface(forest, space.table_schemas, space.mapping_config, caches=space.mapping_caches)
+    return interface, space.cost_model.evaluate(interface)
+
+
 def random_walk(space, rng, steps):
     """Apply up to ``steps`` random actions; yield each forest reached."""
     forest = space.initial_state
@@ -131,13 +143,13 @@ class TestIncrementalEqualsFull:
         # Warm the caches with an unrelated evaluation history first.
         mcts_search(warm, iterations=8, seed=seed)
         for forest in random_walk(warm, rng, steps=4):
-            warm._cache.clear()  # evaluate afresh, through the warm per-tree caches
-            incremental = warm.evaluate(forest)
+            interface, cost = map_and_cost(warm, forest)  # afresh, through the warm per-tree caches
             cold_catalog = fresh_catalog(covid_catalog)
             cold = make_space(cold_catalog, covid_log[:4], catalog=cold_catalog)
-            scratch = cold.evaluate(forest)
-            assert incremental.cost.as_dict() == scratch.cost.as_dict()
-            assert interface_dump(incremental.interface) == interface_dump(scratch.interface)
+            scratch_interface, scratch_cost = map_and_cost(cold, forest)
+            assert cost.as_dict() == scratch_cost.as_dict()
+            assert interface_dump(interface) == interface_dump(scratch_interface)
+            assert warm.evaluate(forest).as_dict() == scratch_cost.as_dict()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sdss_random_walks(self, sdss_catalog, sdss_log, seed):
@@ -145,12 +157,12 @@ class TestIncrementalEqualsFull:
         warm = make_space(sdss_catalog, sdss_log)
         mcts_search(warm, iterations=10, seed=seed)
         for forest in random_walk(warm, rng, steps=5):
-            warm._cache.clear()  # evaluate afresh, through the warm per-tree caches
-            incremental = warm.evaluate(forest)
+            interface, cost = map_and_cost(warm, forest)  # afresh, through the warm per-tree caches
             cold = make_space(sdss_catalog, sdss_log)
-            scratch = cold.evaluate(forest)
-            assert incremental.cost.as_dict() == scratch.cost.as_dict()
-            assert interface_dump(incremental.interface) == interface_dump(scratch.interface)
+            scratch_interface, scratch_cost = map_and_cost(cold, forest)
+            assert cost.as_dict() == scratch_cost.as_dict()
+            assert interface_dump(interface) == interface_dump(scratch_interface)
+            assert warm.evaluate(forest).as_dict() == scratch_cost.as_dict()
 
     def test_incremental_reuse_is_counted(self, covid_catalog, covid_log):
         space = make_space(covid_catalog, covid_log)
@@ -204,7 +216,7 @@ class TestBeamSearch:
 
     def test_beam_never_worse_than_initial(self, covid_catalog, covid_log):
         space = make_space(covid_catalog, covid_log[:4])
-        initial_cost = space.evaluate(space.initial_state).total_cost
+        initial_cost = space.evaluate(space.initial_state).total
         result = beam_search(space)
         assert result.strategy == "beam"
         assert result.total_cost <= initial_cost

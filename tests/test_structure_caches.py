@@ -69,6 +69,7 @@ from repro.difftree.tree_schema import (
 )
 from repro.engine.catalog import Catalog
 from repro.mapping import MappingConfig
+from repro.mapping.schema_matching import map_forest_to_interface
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.search.space import SearchSpace
 from repro.serving.workers import _run_task, _WorkerState
@@ -354,8 +355,15 @@ def search_space(catalog, log: list[str]) -> SearchSpace:
     )
 
 
-def facts(evaluation) -> tuple:
-    return evaluation.cost.as_dict(), evaluation.interface.fingerprint()
+def facts(space: SearchSpace, forest: DifftreeForest) -> tuple:
+    """Cost and interface of ``forest``, through ``space``'s per-tree caches only.
+
+    Mapping and costing directly goes past the space's ledger and the
+    catalog's forest-cost memo, which would otherwise answer a forest an
+    earlier search already costed.
+    """
+    interface = map_forest_to_interface(forest, space.table_schemas, space.mapping_config, caches=space.mapping_caches)
+    return space.cost_model.evaluate(interface).as_dict(), interface.fingerprint()
 
 
 @pytest.fixture(scope="module")
@@ -386,10 +394,10 @@ def test_each_evaluation_on_a_warm_catalog_matches_a_fresh_catalog(bases, warmed
             break
         action = rng.choice(actions)
         forest = space.apply(forest, action)
-        space._cache.clear()  # evaluate afresh, through the warm structure caches
-        incremental = space.evaluate(forest)
-        scratch = search_space(fresh_catalog(bases[dataset]), log).evaluate(forest)
-        assert facts(incremental) == facts(scratch), f"{name}, seed {seed}, step {steps}"
+        incremental = facts(space, forest)  # afresh, through the warm structure caches
+        scratch = facts(search_space(fresh_catalog(bases[dataset]), log), forest)
+        assert incremental == scratch, f"{name}, seed {seed}, step {steps}"
+        assert space.evaluate(forest).as_dict() == scratch[0], f"{name}, seed {seed}, step {steps}"
         steps += 1
     assert steps > 0
     for cache, hits in hits_before.items():
