@@ -12,7 +12,9 @@ prefixes of the covid V3, sdss-extended and sp500 logs, per search method,
   regenerates after every query the analyst adds.  A warm sweep replays the
   cold sweep's generations, so the catalog's forest-cost memo answers every
   evaluation: ``generate_<log>_<method>_warm_cost_hit_rate`` (the warm
-  sweeps' ``costs_reused / evaluations``) reads 1.0.
+  sweeps' ``costs_reused / evaluations``) reads 1.0.  The catalog's tree
+  memo returns every tree the cold sweep built, so a warm sweep builds none
+  (``SearchStats.trees_built``); the bench asserts both.
 
 Each rate divides the generations of sweeps repeated for at least
 ``MIN_TIMED_SECONDS`` by their total time (a cold sweep gets a fresh catalog
@@ -122,35 +124,37 @@ def fresh_catalog(base: Catalog) -> Catalog:
     return catalog
 
 
-def prefix_sweep(catalog, log, method) -> tuple[float, int, int]:
-    """(seconds, evaluations, costs reused) to regenerate every prefix of ``log`` in order."""
-    evaluations = reused = 0
+def prefix_sweep(catalog, log, method) -> tuple[float, int, int, int]:
+    """(seconds, evaluations, costs reused, trees built) to regenerate every prefix of ``log`` in order."""
+    evaluations = reused = built = 0
     started = time.perf_counter()
     for length in range(2, len(log) + 1):
         result = generate_interface(log[:length], catalog, PipelineConfig(method=method, seed=length))
         evaluations += result.stats.evaluations
         reused += result.stats.costs_reused
-    return time.perf_counter() - started, evaluations, reused
+        built += result.stats.trees_built
+    return time.perf_counter() - started, evaluations, reused, built
 
 
-def sweep_rate(next_catalog, log, method) -> tuple[float, int, float, Catalog]:
-    """(generations/s, evaluations per sweep, cost hit rate, last catalog) of repeated sweeps.
+def sweep_rate(next_catalog, log, method) -> tuple[float, int, float, int, Catalog]:
+    """(generations/s, evaluations per sweep, cost hit rate, trees built, last catalog) of repeated sweeps.
 
     Sweeps repeat until they have run ``MIN_TIMED_SECONDS`` in total; each
     runs on a catalog from ``next_catalog()``, which is not timed.  The hit
     rate is the share of the sweeps' evaluations the forest-cost memo
-    answered.
+    answered; trees built are summed over the sweeps.
     """
-    seconds, sweeps, evaluations, reused = 0.0, 0, set(), 0
+    seconds, sweeps, evaluations, reused, built = 0.0, 0, set(), 0, 0
     while seconds < MIN_TIMED_SECONDS:
         catalog = next_catalog()
-        elapsed, evaluated, reused_now = prefix_sweep(catalog, log, method)
+        elapsed, evaluated, reused_now, built_now = prefix_sweep(catalog, log, method)
         seconds += elapsed
         sweeps += 1
         evaluations.add(evaluated)
         reused += reused_now
+        built += built_now
     (evaluated,) = evaluations  # the caches a sweep starts with never change its search
-    return sweeps * (len(log) - 1) / seconds, evaluated, reused / (sweeps * evaluated), catalog
+    return sweeps * (len(log) - 1) / seconds, evaluated, reused / (sweeps * evaluated), built, catalog
 
 
 def measure_generation_rates(logs) -> tuple[dict[str, float], float]:
@@ -173,9 +177,10 @@ def measure_generation_rates(logs) -> tuple[dict[str, float], float]:
                 # automatic pass lands inside a timed sweep.
                 gc.collect()
                 calibration = max(calibration, calibration_ops_per_sec())
-                cold, evaluations, _, catalog = sweep_rate(lambda: fresh_catalog(base), log, method)
-                warm, warm_evaluations, hit_rate, _ = sweep_rate(lambda: catalog, log, method)
+                cold, evaluations, _, _, catalog = sweep_rate(lambda: fresh_catalog(base), log, method)
+                warm, warm_evaluations, hit_rate, warm_built, _ = sweep_rate(lambda: catalog, log, method)
                 assert warm_evaluations == evaluations  # warm caches never change the search
+                assert warm_built == 0, f"a warm {name} {method} sweep built {warm_built} trees"
                 prefix = f"generate_{name}_{method}"
                 for phase, rate in (("cold", cold), ("warm", warm)):
                     key = f"{prefix}_{phase}_per_sec"

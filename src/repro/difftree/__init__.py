@@ -12,7 +12,6 @@ from repro.difftree.canonical import (
     join_conjuncts,
     split_conjuncts,
     structural_similarity,
-    tree_size,
 )
 from repro.difftree.diff import merge_nodes, merge_query_sequence, merge_selects
 from repro.difftree.instantiate import (
@@ -38,7 +37,6 @@ from repro.difftree.nodes import (
     count_choice_nodes,
     count_static_nodes,
     is_choice_node,
-    reset_choice_ids,
 )
 from repro.difftree.transformations import (
     Transformation,
@@ -65,7 +63,6 @@ __all__ = [
     "join_conjuncts",
     "split_conjuncts",
     "structural_similarity",
-    "tree_size",
     "merge_nodes",
     "merge_query_sequence",
     "merge_selects",
@@ -87,7 +84,6 @@ __all__ = [
     "count_choice_nodes",
     "count_static_nodes",
     "is_choice_node",
-    "reset_choice_ids",
     "Transformation",
     "applicable_transformations",
     "can_factor",

@@ -144,11 +144,6 @@ def canonical_sql(node: SqlNode) -> str:
     return rendered
 
 
-def tree_size(node: SqlNode) -> int:
-    """Number of nodes in the subtree."""
-    return sum(1 for _ in node.walk())
-
-
 def _similarity_key(node: SqlNode) -> tuple:
     """``(label, child keys)`` of a subtree, memoized on the node.
 
@@ -166,43 +161,52 @@ def _similarity_key(node: SqlNode) -> tuple:
     return key
 
 
-def shared_node_count(a: SqlNode, b: SqlNode) -> int:
-    """Number of structurally identical subtrees shared by ``a`` and ``b``.
+def _subtree_counts(node: SqlNode) -> tuple[dict[tuple, int], int]:
+    """The multiset of subtree keys in ``node`` and its size, memoized on the node.
 
-    Counted over multisets of subtree keys, so repeated structure is credited
-    once per occurrence.  The keys are memoized on the nodes, so comparing
-    every query pair of a log computes each one once.
+    The size is the sum of the counts.  Every generation compares every query
+    pair of its log, and a regenerated log brings back the same query nodes,
+    so each query is walked once per catalog rather than once per pair.
     """
-    def fingerprint_counts(node: SqlNode) -> dict[tuple, int]:
-        counts: dict[tuple, int] = {}
-        for descendant in node.walk():
-            key = _similarity_key(descendant)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    counts_a = fingerprint_counts(a)
-    counts_b = fingerprint_counts(b)
-    shared = 0
-    for key, count in counts_a.items():
-        shared += min(count, counts_b.get(key, 0))
-    return shared
+    try:
+        return node._repro_subtree_counts  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    counts: dict[tuple, int] = {}
+    for descendant in node.walk():
+        key = _similarity_key(descendant)
+        counts[key] = counts.get(key, 0) + 1
+    memo = (counts, sum(counts.values()))
+    object.__setattr__(node, "_repro_subtree_counts", memo)
+    return memo
 
 
 def structural_similarity(a: SqlNode, b: SqlNode) -> float:
-    """Similarity in [0, 1]: shared subtree mass over average tree size."""
-    size_a = tree_size(a)
-    size_b = tree_size(b)
-    if size_a == 0 or size_b == 0:
-        return 0.0
-    shared = shared_node_count(a, b)
+    """Similarity in [0, 1]: shared subtree mass over average tree size.
+
+    Shared subtrees are counted over multisets of subtree keys, so repeated
+    structure is credited once per occurrence.
+    """
+    counts_a, size_a = _subtree_counts(a)
+    counts_b, size_b = _subtree_counts(b)
+    shared = sum(min(count, counts_b.get(key, 0)) for key, count in counts_a.items())
     return min(1.0, 2.0 * shared / (size_a + size_b))
+
+
+def _table_names(query: SqlNode) -> frozenset[str]:
+    """The lower-cased names of every base table ``query`` reads, memoized on the node."""
+    try:
+        return query._repro_table_names  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    names = frozenset(ref.name.lower() for ref in query.find_all(TableRef))
+    object.__setattr__(query, "_repro_table_names", names)
+    return names
 
 
 def queries_share_source(a: Select, b: Select) -> bool:
     """True when the two queries reference at least one common base table."""
-    tables_a = {ref.name.lower() for ref in a.find_all(TableRef)}
-    tables_b = {ref.name.lower() for ref in b.find_all(TableRef)}
-    return bool(tables_a & tables_b)
+    return not _table_names(a).isdisjoint(_table_names(b))
 
 
 def split_conjuncts(predicate: SqlNode | None) -> list[SqlNode]:

@@ -27,17 +27,14 @@ from typing import Iterator
 from repro.errors import DifftreeError
 from repro.sql.ast_nodes import ColumnRef, Literal, SqlNode
 
+#: One process-wide counter, never reset: the catalog's tree memo holds trees
+#: built by earlier generations, and a fresh choice node must never take an id
+#: one of them carries.
 _CHOICE_COUNTER = itertools.count(1)
 
 
 def _next_choice_id(prefix: str) -> str:
     return f"{prefix}{next(_CHOICE_COUNTER)}"
-
-
-def reset_choice_ids() -> None:
-    """Reset the global choice-id counter (used by tests for determinism)."""
-    global _CHOICE_COUNTER
-    _CHOICE_COUNTER = itertools.count(1)
 
 
 @dataclass(frozen=True)

@@ -327,17 +327,21 @@ class SharedLruDict(LruDict):
 
 #: LRU bound of each structure cache.  Coverage holds one boolean per (tree
 #: structure, member query) pair; costs hold one breakdown per forest costed
-#: under one context; the others hold one entry per tree structure.  512
-#: structures (and 1024 forests) are more than one search on the benchmark
-#: logs visits, so a single generation never evicts, while it bounds what a
-#: long-lived catalog keeps alive between generations: every entry pins its
-#: key's signature tuples after the trees themselves are gone.
+#: under one context; trees hold one merged or factored tree per action input
+#: and transformations one list per tree; the others hold one entry per tree
+#: structure.  512 structures (and 1024 forests) are more than one search on
+#: the benchmark logs visits, so a single generation never evicts, while it
+#: bounds what a long-lived catalog keeps alive between generations: every
+#: entry pins its key's signature tuples (and a tree entry its tree) after
+#: the generation that built it is gone.
 STRUCTURE_CACHE_CAPACITIES = {
     "coverage": 4096,
     "profiles": 512,
     "charts": 512,
     "filter_attributes": 512,
     "costs": 1024,
+    "trees": 512,
+    "transformations": 256,
 }
 COVERAGE_MEMO_CAPACITY = STRUCTURE_CACHE_CAPACITIES["coverage"]
 
@@ -357,7 +361,18 @@ class StructureCaches:
     * ``costs`` — ``(forest signature, cost context)`` → the forest's
       :class:`~repro.cost.model.CostBreakdown`; the context is the canonical
       SQL of the log, the schemas and the cost and mapping settings (see
-      ``SearchSpace``).
+      ``SearchSpace``);
+    * ``trees`` — the trees the search's merges and factorings built:
+      ``("merge", members, tree key, members, tree key)`` of both input
+      trees, or ``("factor", members, tree key, rule, choice id)``, → the
+      tree itself, choice ids and node memos included;
+    * ``transformations`` — tree key → the tree's applicable
+      transformations.
+
+    The last two key on :func:`tree_key`, which includes choice ids: a hit
+    returns the very tree (or transformations) an earlier generation built
+    from the very same input trees, so a regenerated log replays its merges
+    and the trees they build keep hitting every other cache.
 
     A catalog owns one set of :class:`SharedLruDict` caches, which every
     snapshot shares; a search or cost model built without a catalog keeps a

@@ -12,9 +12,10 @@ or ASTs through the planner/executor.  It also owns the two execution caches:
   execution entirely.
 
 Beside them it owns the **structure caches** interface generation keeps its
-per-structure facts in — coverage verdicts, tree profiles, chart templates
-and filter-attribute sets (bounded, thread-safe, shared by every
-snapshot) — and a bounded memo of parsed ASTs that
+per-structure facts in — coverage verdicts, tree profiles, chart templates,
+filter-attribute sets, forest costs and the search's merged and factored
+trees with their transformation lists (bounded, thread-safe, shared by
+every snapshot) — and a bounded memo of parsed ASTs that
 generation reads its query log through, so repeated generations on one
 catalog reuse both.
 

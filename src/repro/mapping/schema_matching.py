@@ -84,8 +84,10 @@ class MappingCaches:
 
     ``scope`` identifies the table schemas (see :func:`schema_scope`).  The
     search passes its catalog's stores for the first two, so they outlive one
-    generation; pieces embed choice ids, which each generation allocates
-    afresh, so they never do.
+    generation.  Pieces key on tree keys, which embed choice ids; since the
+    catalog's tree memo hands a regenerated log back the trees it built, ids
+    included, pieces could outlive a generation too, but they stay per
+    generation until that is measured to pay.
     """
 
     profile_store: LruDict = field(

@@ -91,6 +91,7 @@ class GenerationResult:
             "candidates_evaluated": self.stats.evaluations,
             "evaluation_cache_hits": self.stats.cache_hits,
             "costs_reused": self.stats.costs_reused,
+            "trees_built": self.stats.trees_built,
             "tree_evals_reused": self.stats.tree_evals_reused,
             "tree_evals_computed": self.stats.tree_evals_computed,
             "elapsed_seconds": round(self.elapsed_seconds, 4),
@@ -113,10 +114,10 @@ def generate_interface(
             the serving layer passes one so a whole generation run reads a
             single consistent data version while writers keep ingesting.
             Query text is parsed through the catalog's AST memo, and the
-            search keeps its per-structure facts in the catalog's
-            ``structure_caches``, so later generations on the same catalog
-            start warm; time a cold generation on a fresh catalog or after
-            ``clear_caches()``.
+            search keeps its per-structure facts and the trees it builds in
+            the catalog's ``structure_caches``, so later generations on the
+            same catalog start warm; time a cold generation on a fresh
+            catalog or after ``clear_caches()``.
         config: Pipeline configuration; defaults to MCTS search on a
             medium-sized screen.
     """

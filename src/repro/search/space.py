@@ -32,9 +32,11 @@ the whole candidate.
 
 The caches whose facts never mention choice ids live on the catalog
 (:class:`~repro.difftree.signatures.StructureCaches`), so a generation pays
-for each tree structure once per catalog rather than once per generation;
-those that embed choice ids, which every generation allocates afresh, live
-on the space.
+for each tree structure once per catalog rather than once per generation.
+So do the trees the merges and factorings build and each tree's applicable
+transformations: they key on the input trees' exact ids, and a regenerated
+log starts from the same parsed queries, so it gets back the very trees an
+earlier generation built, ids and node memos included (docs/SEARCH.md).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.cost.model import CostBreakdown, CostModel
 from repro.difftree.builder import DifftreeForest, build_forest
 from repro.difftree.canonical import canonical_sql, queries_share_source, structural_similarity
 from repro.difftree.diff import merge_nodes
-from repro.difftree.signatures import LruDict, StructureCaches, exact_key, tree_key
+from repro.difftree.signatures import StructureCaches, exact_key, tree_key
 from repro.difftree.transformations import Transformation, applicable_transformations
 from repro.errors import SearchError
 from repro.interface.interface import Interface
@@ -57,11 +59,7 @@ from repro.mapping.schema_matching import (
     map_forest_to_interface,
     schema_scope,
 )
-from repro.sql.ast_nodes import SqlNode
 from repro.sql.schema import TableSchema
-
-#: Bound on the key-indexed transformation cache (entries, LRU-evicted).
-TRANSFORMATION_CACHE_CAPACITY = 512
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,8 @@ class SearchStats:
     ``evaluations`` counts distinct candidates and ``cache_hits`` repeat
     requests for one.  ``costs_reused`` counts the evaluations the catalog's
     forest-cost memo answered, without mapping or costing the forest.
+    ``trees_built`` counts the merges and factorings the generation built
+    rather than took from the catalog's tree memo.
 
     ``tree_evals_reused`` / ``tree_evals_computed`` account per-tree
     incremental reuse across the mappings that actually ran (a
@@ -104,6 +104,7 @@ class SearchStats:
     evaluations: int = 0
     cache_hits: int = 0
     costs_reused: int = 0
+    trees_built: int = 0
     states_expanded: int = 0
     elapsed_seconds: float = 0.0
     queries_executed: int = 0
@@ -149,14 +150,15 @@ class SearchSpace:
         self.initial_state = build_forest(queries, strategy=initial_strategy)
         #: The ledger: one cost per distinct candidate of this generation.
         self._cache: dict[tuple, CostBreakdown] = {}
-        #: The trees this generation's merges and factorings built, keyed on
-        #: their inputs (see :meth:`_merge` and :meth:`_factor`), so a
-        #: replayed action returns the very tree object it built first.
-        self._merges: dict[tuple, SqlNode] = {}
-        self._factorings: dict[tuple, SqlNode] = {}
         # The structure caches of ``catalog`` (a live catalog or a pinned
         # snapshot, which shares them), or private ones of the same bounds.
         caches = catalog.structure_caches if catalog is not None else StructureCaches()
+        #: The trees merges and factorings built, keyed on their inputs (see
+        #: :meth:`_merge` and :meth:`_factor`), and each tree's applicable
+        #: transformations: a replayed action, in this generation or a later
+        #: one, returns the very tree object built first.
+        self._trees = caches.trees
+        self._transformations = caches.transformations
         #: Per-tree mapping caches (profiles, chart templates, widget pieces);
         #: the first two are the structure caches — see MappingCaches.
         self.mapping_caches = MappingCaches(
@@ -178,10 +180,6 @@ class SearchSpace:
             astuple(self.mapping_config.screen),
             None if policy is None else astuple(policy),
         )
-        #: Applicable transformations per tree, keyed by tree key and
-        #: LRU-bounded (the transformations close over choice ids only, so
-        #: they are reusable across equal-key trees within one generation).
-        self._transformation_cache = LruDict(TRANSFORMATION_CACHE_CAPACITY)
         self._pair_similarity: dict[tuple[int, int], float] = {}
         self.stats = SearchStats()
         self.min_merge_similarity = 0.3
@@ -245,7 +243,7 @@ class SearchSpace:
         return action.apply(forest)
 
     def _merge(self, forest: DifftreeForest, first: int, second: int) -> DifftreeForest:
-        """``forest.merge_trees(first, second)``, each merged tree built once per generation.
+        """``forest.merge_trees(first, second)``, each merged tree built once per catalog.
 
         The key holds each tree's members beside its tree key.  A log that
         repeats a query gives two trees of one forest equal tree keys, and a
@@ -254,19 +252,23 @@ class SearchSpace:
         """
         low, high = min(first, second), max(first, second)
         trees, members = forest.trees, forest.members
-        key = (tuple(members[low]), tree_key(trees[low]), tuple(members[high]), tree_key(trees[high]))
-        merged = self._merges.get(key)
+        key = ("merge", tuple(members[low]), tree_key(trees[low]), tuple(members[high]), tree_key(trees[high]))
+        merged = self._trees.get(key)
         if merged is None:
-            merged = self._merges[key] = merge_nodes(trees[low], trees[high])
+            merged = merge_nodes(trees[low], trees[high])
+            self._trees.put(key, merged)
+            self.stats.trees_built += 1
         return forest.merge_trees(first, second, merged=merged)
 
     def _factor(self, forest: DifftreeForest, index: int, transformation: Transformation) -> DifftreeForest:
-        """``forest`` with one tree transformed, each result built once per generation."""
+        """``forest`` with one tree transformed, each result built once per catalog."""
         tree = forest.trees[index]
-        key = (tuple(forest.members[index]), tree_key(tree), transformation.rule, transformation.choice_id)
-        factored = self._factorings.get(key)
+        key = ("factor", tuple(forest.members[index]), tree_key(tree), transformation.rule, transformation.choice_id)
+        factored = self._trees.get(key)
         if factored is None:
-            factored = self._factorings[key] = transformation(tree)
+            factored = transformation(tree)
+            self._trees.put(key, factored)
+            self.stats.trees_built += 1
         return forest.replace_tree(index, factored)
 
     def _transformations_for(self, tree):
@@ -274,16 +276,15 @@ class SearchSpace:
 
         Transformation instances close over choice ids (not tree objects), so
         equal-key trees — which have equal choice ids at equal positions —
-        share one entry.  The cache is LRU-bounded: it can no longer hold
-        every tree a long search ever saw alive.
+        share one entry.  The list lives in the catalog's cache, not on the
+        tree: a transformation holds a lambda, and trees must pickle.
         """
         key = tree_key(tree)
-        cached = self._transformation_cache.get(key)
-        if cached is not None:
-            return cached
-        transformations = applicable_transformations(tree)
-        self._transformation_cache.put(key, transformations)
-        return transformations
+        cached = self._transformations.get(key)
+        if cached is None:
+            cached = applicable_transformations(tree)
+            self._transformations.put(key, cached)
+        return cached
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -332,7 +333,7 @@ class SearchSpace:
     def cache_info(self) -> dict:
         """Hit/size statistics of every per-tree cache (for benches/debugging)."""
         info = self.mapping_caches.stats()
-        info["transformations"] = self._transformation_cache.stats()
+        info["transformations"] = self._transformations.stats()
         info["evaluations"] = {"entries": len(self._cache)}
         return info
 

@@ -146,9 +146,10 @@ class _WorkerState:
     """Per-process snapshot cache + shared execution caches.
 
     Snapshots are cached by ``(catalog_id, fingerprint)``.  The parse memo
-    and structure caches are shared across catalogs (parsing and coverage
-    verdicts are version-independent, and the other structure caches key on
-    the schemas).  Result caches are
+    and structure caches are shared across catalogs (parsing, coverage
+    verdicts and the search's merged and factored trees are
+    version-independent, and the other structure caches key on the
+    schemas).  Result caches are
     shared **per catalog id** — result keys embed the data version, which is
     local to one catalog lineage, so two catalogs at equal versions would
     otherwise read each other's results — and compiled-plan caches **per

@@ -13,7 +13,6 @@ from repro.difftree.nodes import (
     count_static_nodes,
     is_choice_node,
     parent_of,
-    reset_choice_ids,
 )
 from repro.errors import DifftreeError
 from repro.sql.ast_nodes import ColumnRef, Literal
@@ -60,11 +59,6 @@ class TestChoiceNodeBasics:
         node = OptNode(child=Literal(1))
         assert node.default_on is True
         assert node.kind == "OptNode"
-
-    def test_reset_choice_ids(self):
-        reset_choice_ids()
-        node = AnyNode(alternatives=[Literal(1)])
-        assert node.choice_id == "any_1"
 
 
 class TestTreeHelpers:

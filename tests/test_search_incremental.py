@@ -23,11 +23,11 @@ import random
 import pytest
 
 from repro.cost import CostModel
+from repro.difftree.signatures import STRUCTURE_CACHE_CAPACITIES
 from repro.engine.catalog import Catalog
 from repro.mapping import MappingConfig
 from repro.mapping.schema_matching import map_forest_to_interface
 from repro.search import SearchSpace, beam_search, greedy_search, mcts_search
-from repro.search.space import TRANSFORMATION_CACHE_CAPACITY
 
 
 def make_space(schema_catalog, queries, **kwargs):
@@ -262,7 +262,7 @@ class TestCacheBounds:
     def test_transformation_cache_is_bounded(self, covid_catalog, covid_log):
         space = make_space(covid_catalog, covid_log[:4])
         mcts_search(space, iterations=30, seed=2)
-        assert len(space._transformation_cache) <= TRANSFORMATION_CACHE_CAPACITY
+        assert len(space._transformations) <= STRUCTURE_CACHE_CAPACITIES["transformations"]
 
     def test_transformation_cache_keyed_by_signature(self, covid_catalog, covid_log):
         """Equal-signature trees share one entry; the cache holds no id() keys."""

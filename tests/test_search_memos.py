@@ -1,6 +1,6 @@
-"""Each merge and factoring paid for once per generation, and a generation that frees itself.
+"""Each merge and factoring paid for once per catalog, and a generation that frees itself.
 
-``SearchSpace`` keeps two memos beside its evaluation memo: merged trees,
+The catalog's tree memo (``StructureCaches.trees``) holds merged trees,
 keyed on both input trees' ``(members, tree_key)``, and factored trees,
 keyed on ``(members, tree_key, rule, choice_id)``.  A replayed action
 returns the very tree object it built first.  This suite checks:
@@ -9,7 +9,9 @@ returns the very tree object it built first.  This suite checks:
   while ``DifftreeForest.merge_trees`` on its own still builds fresh ids;
 * **disjoint choice ids** — on logs that repeat a query, two trees have
   equal tree keys, and only the members in the key keep their merges apart:
-  every forest a search evaluates has pairwise-disjoint choice ids;
+  every forest a search evaluates has pairwise-disjoint choice ids, also on
+  a warm catalog, when the memo evicts mid-generation and when four threads
+  generate on one catalog at once;
 * **no reference cycles** — with the cyclic collector off, a generation
   under every method, cold and warm, leaves nothing for it to collect.
 """
@@ -18,12 +20,15 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
+import threading
 
 import pytest
 
 from repro.datasets import covid_query_log, load_covid_catalog
 from repro.difftree.nodes import collect_choice_nodes
-from repro.difftree.signatures import structure_key
+from repro.difftree.signatures import STRUCTURE_CACHE_CAPACITIES, structure_key
+from repro.engine.catalog import Catalog
 from repro.pipeline import PipelineConfig, generate_interface
 from repro.search.space import SearchSpace
 
@@ -110,9 +115,11 @@ def test_equal_trees_with_other_members_get_their_own_merge(covid_catalog):
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("method", ["mcts", "greedy", "beam"])
-@pytest.mark.parametrize("picks", REPEATING_LOGS.values(), ids=list(REPEATING_LOGS))
-def test_every_evaluated_forest_has_disjoint_choice_ids(monkeypatch, covid_catalog, picks, method):
+def check_disjoint_choice_ids(monkeypatch) -> list:
+    """Make ``SearchSpace.evaluate`` assert that its forest's trees share no choice id.
+
+    Returns the list every checked forest is appended to.
+    """
     evaluate = SearchSpace.evaluate
     evaluated = []
 
@@ -123,10 +130,101 @@ def test_every_evaluated_forest_has_disjoint_choice_ids(monkeypatch, covid_catal
         return evaluate(self, forest)
 
     monkeypatch.setattr(SearchSpace, "evaluate", checked_evaluate)
+    return evaluated
+
+
+def generate_repeating_log(catalog, picks, method) -> None:
     log = [covid_query_log()[i] for i in picks]
     for seed in (1, 2, 3):
-        generate_interface(log, covid_catalog, PipelineConfig(method=method, seed=seed))
-    assert any(forest.tree_count > 1 and forest.choice_count() for forest in evaluated)
+        generate_interface(log, catalog, PipelineConfig(method=method, seed=seed))
+
+
+def fresh_catalog(base):
+    """A new catalog (every cache empty) over the same immutable tables."""
+    catalog = Catalog()
+    for name in base.table_names():
+        catalog.register(base.table(name))
+    return catalog
+
+
+def some_forest_merged(evaluated) -> bool:
+    return any(forest.tree_count > 1 and forest.choice_count() for forest in evaluated)
+
+
+@pytest.mark.parametrize("method", ["mcts", "greedy", "beam"])
+@pytest.mark.parametrize("picks", REPEATING_LOGS.values(), ids=list(REPEATING_LOGS))
+def test_every_evaluated_forest_has_disjoint_choice_ids(monkeypatch, covid_catalog, picks, method):
+    evaluated = check_disjoint_choice_ids(monkeypatch)
+    generate_repeating_log(covid_catalog, picks, method)
+    assert some_forest_merged(evaluated)
+
+
+@pytest.mark.parametrize("method", ["mcts", "greedy", "beam"])
+def test_disjoint_choice_ids_on_a_warm_catalog(monkeypatch, covid_catalog, method):
+    """Each repeating log grown query by query, then regenerated after the others.
+
+    A grown prefix mixes trees from the catalog's memo with trees built now,
+    so fresh ids must never repeat one a memo tree carries.
+    """
+    catalog = fresh_catalog(covid_catalog)
+    evaluated = check_disjoint_choice_ids(monkeypatch)
+    for picks in REPEATING_LOGS.values():
+        for length in range(2, len(picks) + 1):
+            generate_repeating_log(catalog, picks[:length], method)
+    built = catalog.structure_caches.trees.misses
+    for picks in REPEATING_LOGS.values():
+        generate_repeating_log(catalog, picks, method)
+    assert catalog.structure_caches.trees.misses == built  # every tree came from the memo
+    assert some_forest_merged(evaluated)
+
+
+@pytest.mark.parametrize("method", ["mcts", "greedy", "beam"])
+def test_disjoint_choice_ids_when_the_tree_memo_evicts(monkeypatch, covid_catalog, method):
+    """A tree evicted mid-generation is rebuilt with fresh ids."""
+    monkeypatch.setitem(STRUCTURE_CACHE_CAPACITIES, "trees", 6)
+    catalog = fresh_catalog(covid_catalog)
+    evaluated = check_disjoint_choice_ids(monkeypatch)
+    for _ in range(2):
+        for picks in REPEATING_LOGS.values():
+            generate_repeating_log(catalog, picks, method)
+    assert catalog.structure_caches.trees.evictions > 0
+    assert some_forest_merged(evaluated)
+
+
+@pytest.mark.parametrize("method", ["mcts", "greedy", "beam"])
+def test_disjoint_choice_ids_under_concurrent_generations(monkeypatch, covid_catalog, method):
+    """Threads that both miss build one key twice; the later store wins, and every id stays fresh.
+
+    Four threads each generate the logs in another order, with a short
+    switch interval so that they interleave inside one generation.
+    """
+    catalog = fresh_catalog(covid_catalog)
+    evaluated = check_disjoint_choice_ids(monkeypatch)
+    errors = []
+
+    def run(order) -> None:
+        try:
+            for picks in order:
+                generate_repeating_log(catalog, picks, method)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    logs = list(REPEATING_LOGS.values())
+    orders = [logs[start:] + logs[:start] for start in range(len(logs))] + [logs[::-1]]
+    threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert catalog.structure_caches.trees.hits > 0  # the threads shared the memo
+    assert some_forest_merged(evaluated)
 
 
 # --------------------------------------------------------------------------- #
